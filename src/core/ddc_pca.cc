@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "index/block_refine.h"
+#include "core/staged_scan.h"
 #include "simd/kernels.h"
 #include "util/macros.h"
 #include "util/timer.h"
@@ -99,65 +99,34 @@ void DdcPcaComputer::SelectQuery(int g) {
   active_rotated_query_ = group_rotated_.data() + g * pca_->dim();
 }
 
-index::EstimateResult DdcPcaComputer::EstimateWithThreshold(int64_t id,
-                                                            float tau) {
-  ++stats_.candidates;
-  const int64_t d0 = artifacts_->stage_dims[0];
-  const float* x = rotated_base_->Row(id);
-  const float partial = simd::L2Sqr(x, active_rotated_query_,
-                                    static_cast<std::size_t>(d0));
-  stats_.dims_scanned += d0;
-  return ContinueFromFirstStage(x, tau, partial);
+void DdcPcaComputer::Scan(const uint8_t* codes, const int64_t* ids,
+                          int count, float tau, index::EstimateResult* out) {
+  const bool tau_finite = std::isfinite(tau);
+  const std::vector<LinearCorrector>& correctors = artifacts_->correctors;
+  StagedScan</*kTwiceInnerProduct=*/false>(
+      active_rotated_query_, artifacts_->stage_dims, *rotated_base_, codes,
+      quant::CodeRecordStride(CodeSize(), 0), ids, count,
+      [&correctors, tau, tau_finite](int, std::size_t stage, float partial) {
+        return tau_finite && correctors[stage].PredictPrunable(partial, tau);
+      },
+      [](int, float partial) { return partial; }, stats_, out);
 }
 
-index::EstimateResult DdcPcaComputer::ContinueFromFirstStage(const float* x,
-                                                             float tau,
-                                                             float partial) {
-  const int64_t full_dim = pca_->dim();
-  const float* q = active_rotated_query_;
-  const bool tau_finite = std::isfinite(tau);
-
-  int64_t d = artifacts_->stage_dims[0];
-  for (std::size_t stage = 0;;) {
-    if (tau_finite &&
-        artifacts_->correctors[stage].PredictPrunable(partial, tau)) {
-      ++stats_.pruned;
-      return {true, partial};
-    }
-    if (++stage == artifacts_->stage_dims.size()) break;
-    const int64_t next = artifacts_->stage_dims[stage];
-    partial += simd::L2Sqr(x + d, q + d, static_cast<std::size_t>(next - d));
-    stats_.dims_scanned += next - d;
-    d = next;
-  }
-  partial += simd::L2Sqr(x + d, q + d, static_cast<std::size_t>(full_dim - d));
-  stats_.dims_scanned += full_dim - d;
-  ++stats_.exact_computations;
-  return {false, partial};
+index::EstimateResult DdcPcaComputer::EstimateWithThreshold(int64_t id,
+                                                            float tau) {
+  index::EstimateResult out;
+  Scan(nullptr, &id, 1, tau, &out);
+  return out;
 }
 
 void DdcPcaComputer::EstimateBatch(const int64_t* ids, int count, float tau,
                                    index::EstimateResult* out) {
-  // The first (cheapest, most selective) stage runs four candidates per
-  // kernel call with next-block prefetch; survivors continue through the
-  // cascade one at a time, exactly as the sequential path would.
-  const int64_t d0 = artifacts_->stage_dims[0];
-  const float* q = active_rotated_query_;
-  index::ScanBatch4(
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [q, d0](const float* const* rows, float* partial) {
-        simd::L2SqrBatch4(q, rows, static_cast<std::size_t>(d0), partial);
-      },
-      [this, ids, tau, d0, out](int pos, float partial) {
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        out[pos] =
-            ContinueFromFirstStage(rotated_base_->Row(ids[pos]), tau, partial);
-      },
-      [this, ids, tau, out](int pos) {
-        out[pos] = EstimateWithThreshold(ids[pos], tau);
-      },
-      count);
+  Scan(nullptr, ids, count, tau, out);
+}
+
+int64_t DdcPcaComputer::CodeSize() const {
+  return PrefixDims(artifacts_->stage_dims, pca_->dim()) *
+         static_cast<int64_t>(sizeof(float));
 }
 
 std::string DdcPcaComputer::code_tag() const {
@@ -165,16 +134,13 @@ std::string DdcPcaComputer::code_tag() const {
     const uint64_t f = quant::FingerprintArray(
         rotated_base_->data(),
         static_cast<std::size_t>(rotated_base_->size()) * sizeof(float));
-    code_tag_ = quant::MakeCodeTag(
-        "ddc-pca", pca_->dim() * static_cast<int64_t>(sizeof(float)), 0,
-        size(), f);
+    code_tag_ = quant::MakeCodeTag("ddc-pca", CodeSize(), 0, size(), f);
   }
   return code_tag_;
 }
 
 quant::CodeStore DdcPcaComputer::MakeCodeStore() const {
-  const int64_t code_size = pca_->dim() * static_cast<int64_t>(sizeof(float));
-  quant::CodeStore store(size(), code_size, 0, code_tag());
+  quant::CodeStore store(size(), CodeSize(), 0, code_tag());
   for (int64_t i = 0; i < size(); ++i) {
     store.SetCode(i,
                   reinterpret_cast<const uint8_t*>(rotated_base_->Row(i)));
@@ -186,33 +152,7 @@ void DdcPcaComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  (void)ids;  // the record carries the whole rotated row; no gathers at all
-  const int64_t d0 = artifacts_->stage_dims[0];
-  const int64_t stride = quant::CodeRecordStride(
-      pca_->dim() * static_cast<int64_t>(sizeof(float)), 0);
-  const float* q = active_rotated_query_;
-  const auto row = [codes, stride](int pos) {
-    return reinterpret_cast<const float*>(codes + pos * stride);
-  };
-  index::ScanBatch4(
-      row,
-      [q, d0](const float* const* rows, float* partial) {
-        simd::L2SqrBatch4(q, rows, static_cast<std::size_t>(d0), partial);
-      },
-      [this, row, tau, d0, out](int pos, float partial) {
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(row(pos), tau, partial);
-      },
-      [this, row, q, tau, d0, out](int pos) {
-        ++stats_.candidates;
-        const float* x = row(pos);
-        const float partial =
-            simd::L2Sqr(x, q, static_cast<std::size_t>(d0));
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(x, tau, partial);
-      },
-      count);
+  Scan(codes, ids, count, tau, out);
 }
 
 float DdcPcaComputer::ExactDistance(int64_t id) {

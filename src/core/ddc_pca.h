@@ -65,9 +65,9 @@ class DdcPcaComputer : public index::DistanceComputer {
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
                      index::EstimateResult* out) override;
-  // Code-resident form; record = the full PCA-rotated row (dim() floats),
-  // so the whole cascade — later stages included — streams from the
-  // records without touching rotated_base_.
+  // Code-resident form; record = the first stage_dims[0] floats of the
+  // PCA-rotated row, all the first stage reads. The few candidates that
+  // survive it continue from rotated_base_ by id (core/staged_scan.h).
   std::string code_tag() const override;
   quant::CodeStore MakeCodeStore() const override;
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
@@ -86,13 +86,12 @@ class DdcPcaComputer : public index::DistanceComputer {
   int64_t ExtraBytes() const;
 
  private:
-  // Runs the incremental stage cascade for one candidate given its rotated
-  // row `x` and first-stage partial distance (over stage_dims[0] dims,
-  // already counted in stats_.dims_scanned). Shared by the sequential,
-  // batch-gather, and code-resident paths so their decisions and rounding
-  // are identical by construction.
-  index::EstimateResult ContinueFromFirstStage(const float* x, float tau,
-                                               float partial);
+  // Bytes per code record: the first-stage prefix.
+  int64_t CodeSize() const;
+  // The one estimate loop behind every entry point: prefixes stream from
+  // `codes` when given, else they are read by id (core/staged_scan.h).
+  void Scan(const uint8_t* codes, const int64_t* ids, int count, float tau,
+            index::EstimateResult* out);
 
   const linalg::PcaModel* pca_;
   const linalg::Matrix* rotated_base_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "index/block_refine.h"
+#include "core/staged_scan.h"
 #include "simd/kernels.h"
 #include "util/macros.h"
 
@@ -83,84 +83,45 @@ void DdcResComputer::SelectQuery(int g) {
   query_norm_sqr_ = group_norms_[static_cast<std::size_t>(g)];
 }
 
-index::EstimateResult DdcResComputer::EstimateWithThreshold(int64_t id,
-                                                            float tau) {
-  ++stats_.candidates;
-  if (stage_dims_.empty()) {
-    // init_dim >= D leaves no test stage: straight to exact.
-    const float c1 = norms_sqr_[id] + query_norm_sqr_;
-    const float c2 = 2.0f * simd::InnerProduct(
-                                rotated_base_->Row(id), active_rotated_query_,
-                                static_cast<std::size_t>(pca_->dim()));
-    stats_.dims_scanned += pca_->dim();
-    ++stats_.exact_computations;
-    return {false, std::max(0.0f, c1 - c2)};
-  }
-  const int64_t d0 = stage_dims_[0];
-  const float* x = rotated_base_->Row(id);
-  const float c2 = 2.0f * simd::InnerProduct(x, active_rotated_query_,
-                                             static_cast<std::size_t>(d0));
-  stats_.dims_scanned += d0;
-  return ContinueFromFirstStage(x, norms_sqr_[id] + query_norm_sqr_, tau,
-                                c2);
+void DdcResComputer::Scan(const uint8_t* codes, const int64_t* ids,
+                          int count, float tau, index::EstimateResult* out) {
+  const int64_t code_size = CodeSize();
+  const int64_t stride = quant::CodeRecordStride(code_size, 1);
+  const float query_norm = query_norm_sqr_;
+  const float* bounds = active_stage_bounds_;
+  // C1 = ||x||^2 + ||q||^2, ||x||^2 from the record's sidecar or by id. The
+  // summed C2 = 2<x, q> becomes exact (C2 + C3) once every dim is in.
+  const auto c1 = [&](int pos) {
+    return (codes != nullptr
+                ? quant::RecordSidecars(codes + pos * stride, code_size)[0]
+                : norms_sqr_[ids[pos]]) +
+           query_norm;
+  };
+  StagedScan</*kTwiceInnerProduct=*/true>(
+      active_rotated_query_, stage_dims_, *rotated_base_, codes, stride, ids,
+      count,
+      [&c1, bounds, tau](int pos, std::size_t stage, float c2) {
+        return c1(pos) - c2 - bounds[stage] > tau;
+      },
+      [&c1](int pos, float c2) { return std::max(0.0f, c1(pos) - c2); },
+      stats_, out);
 }
 
-index::EstimateResult DdcResComputer::ContinueFromFirstStage(const float* x,
-                                                             float c1,
-                                                             float tau,
-                                                             float c2) {
-  const int64_t full_dim = pca_->dim();
-  const float* q = active_rotated_query_;
-
-  int64_t d = stage_dims_[0];
-  for (std::size_t stage = 0;;) {
-    if (c1 - c2 - active_stage_bounds_[stage] > tau) {
-      ++stats_.pruned;
-      return {true, std::max(0.0f, c1 - c2)};
-    }
-    if (++stage == stage_dims_.size()) break;
-    const int64_t next = stage_dims_[stage];
-    c2 += 2.0f * simd::InnerProduct(x + d, q + d,
-                                    static_cast<std::size_t>(next - d));
-    stats_.dims_scanned += next - d;
-    d = next;
-  }
-  // Remaining dimensions: the accumulated inner product becomes exact
-  // (C2 + C3 folded together).
-  c2 += 2.0f * simd::InnerProduct(x + d, q + d,
-                                  static_cast<std::size_t>(full_dim - d));
-  stats_.dims_scanned += full_dim - d;
-  ++stats_.exact_computations;
-  return {false, std::max(0.0f, c1 - c2)};
+index::EstimateResult DdcResComputer::EstimateWithThreshold(int64_t id,
+                                                            float tau) {
+  index::EstimateResult out;
+  Scan(nullptr, &id, 1, tau, &out);
+  return out;
 }
 
 void DdcResComputer::EstimateBatch(const int64_t* ids, int count, float tau,
                                    index::EstimateResult* out) {
-  if (stage_dims_.empty()) {
-    for (int i = 0; i < count; ++i) out[i] = EstimateWithThreshold(ids[i], tau);
-    return;
-  }
-  // First-stage C2 accumulation four candidates per kernel call with
-  // next-group prefetch; survivors continue through the cascade exactly as
-  // the sequential path would.
-  const int64_t d0 = stage_dims_[0];
-  const float* q = active_rotated_query_;
-  index::ScanBatch4(
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [q, d0](const float* const* rows, float* ip) {
-        simd::InnerProductBatch4(q, rows, static_cast<std::size_t>(d0), ip);
-      },
-      [this, ids, tau, d0, out](int pos, float ip) {
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(
-            rotated_base_->Row(ids[pos]),
-            norms_sqr_[ids[pos]] + query_norm_sqr_, tau, 2.0f * ip);
-      },
-      [this, ids, tau, out](int pos) {
-        out[pos] = EstimateWithThreshold(ids[pos], tau);
-      },
-      count);
+  Scan(nullptr, ids, count, tau, out);
+}
+
+int64_t DdcResComputer::CodeSize() const {
+  return PrefixDims(stage_dims_, pca_->dim()) *
+         static_cast<int64_t>(sizeof(float));
 }
 
 std::string DdcResComputer::code_tag() const {
@@ -172,16 +133,13 @@ std::string DdcResComputer::code_tag() const {
         static_cast<std::size_t>(rotated_base_->size()) * sizeof(float));
     f = quant::FingerprintArray(norms_sqr_.data(),
                                 norms_sqr_.size() * sizeof(float), f);
-    code_tag_ = quant::MakeCodeTag(
-        "ddc-res", pca_->dim() * static_cast<int64_t>(sizeof(float)), 1,
-        size(), f);
+    code_tag_ = quant::MakeCodeTag("ddc-res", CodeSize(), 1, size(), f);
   }
   return code_tag_;
 }
 
 quant::CodeStore DdcResComputer::MakeCodeStore() const {
-  const int64_t code_size = pca_->dim() * static_cast<int64_t>(sizeof(float));
-  quant::CodeStore store(size(), code_size, 1, code_tag());
+  quant::CodeStore store(size(), CodeSize(), 1, code_tag());
   for (int64_t i = 0; i < size(); ++i) {
     store.SetCode(i,
                   reinterpret_cast<const uint8_t*>(rotated_base_->Row(i)));
@@ -194,43 +152,7 @@ void DdcResComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  if (stage_dims_.empty()) {
-    // No test stage: the gather loop is already a straight exact pass.
-    EstimateBatch(ids, count, tau, out);
-    return;
-  }
-  const int64_t d0 = stage_dims_[0];
-  const int64_t code_size =
-      pca_->dim() * static_cast<int64_t>(sizeof(float));
-  const int64_t stride = quant::CodeRecordStride(code_size, 1);
-  const float* q = active_rotated_query_;
-  const auto row = [codes, stride](int pos) {
-    return reinterpret_cast<const float*>(codes + pos * stride);
-  };
-  const auto norm = [codes, stride, code_size](int pos) {
-    return quant::RecordSidecars(codes + pos * stride, code_size)[0];
-  };
-  index::ScanBatch4(
-      row,
-      [q, d0](const float* const* rows, float* ip) {
-        simd::InnerProductBatch4(q, rows, static_cast<std::size_t>(d0), ip);
-      },
-      [this, row, norm, tau, d0, out](int pos, float ip) {
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(
-            row(pos), norm(pos) + query_norm_sqr_, tau, 2.0f * ip);
-      },
-      [this, row, norm, q, tau, d0, out](int pos) {
-        ++stats_.candidates;
-        const float* x = row(pos);
-        const float c2 = 2.0f * simd::InnerProduct(
-                                    x, q, static_cast<std::size_t>(d0));
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(x, norm(pos) + query_norm_sqr_,
-                                          tau, c2);
-      },
-      count);
+  Scan(codes, ids, count, tau, out);
 }
 
 float DdcResComputer::ExactDistance(int64_t id) {

@@ -59,9 +59,10 @@ class DdcResComputer : public index::DistanceComputer {
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
                      index::EstimateResult* out) override;
-  // Code-resident form; record = [rotated row (dim() floats) | ||x||^2],
-  // so the C2 accumulation and the cascade stream entirely from the
-  // records. Both DdcRes variants (incremental or not) share one layout.
+  // Code-resident form; record = [first stage_dims_[0] floats of the
+  // rotated row | ||x||^2], all the first stage reads. Survivors continue
+  // from rotated_base_ by id (core/staged_scan.h). Both DdcRes variants
+  // (incremental or not) share one layout.
   std::string code_tag() const override;
   quant::CodeStore MakeCodeStore() const override;
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
@@ -84,12 +85,13 @@ class DdcResComputer : public index::DistanceComputer {
   int64_t ExtraBytes() const;
 
  private:
-  // Cascade continuation once the first stage's C2 accumulation (2<x,q>
-  // over stage_dims_[0] dims) is in hand; `x` is the candidate's rotated
-  // row and `c1` its ||x||^2 + ||q||^2. Shared by the sequential, batched,
-  // and code-resident first-stage paths. Requires non-empty stage_dims_.
-  index::EstimateResult ContinueFromFirstStage(const float* x, float c1,
-                                               float tau, float c2);
+  // Bytes per code record before the norm sidecar: the first-stage prefix.
+  int64_t CodeSize() const;
+  // The one estimate loop behind every entry point: prefixes and ||x||^2
+  // stream from `codes` when given, else they are read by id
+  // (core/staged_scan.h).
+  void Scan(const uint8_t* codes, const int64_t* ids, int count, float tau,
+            index::EstimateResult* out);
 
   const linalg::PcaModel* pca_;
   const linalg::Matrix* rotated_base_;

@@ -138,10 +138,12 @@ void WriteMatrixPayload(BinaryWriter& writer, const linalg::Matrix& m) {
 bool ReadMatrixPayload(BinaryReader& reader, linalg::Matrix* out) {
   int64_t rows = 0, cols = 0;
   if (!reader.Read(&rows) || !reader.Read(&cols)) return false;
-  // Division-form bound check: rows * cols would overflow on hostile
-  // headers before a product-form comparison could reject them.
+  // Division-form bound check first: rows * cols would overflow on hostile
+  // headers before a product-form comparison could reject them. Past it
+  // the product is safe, and the payload must fit in the bytes left.
   if (rows < 0 || cols < 0 ||
-      (cols > 0 && rows > reader.max_elements() / cols)) {
+      (cols > 0 && rows > reader.max_elements() / cols) ||
+      !reader.Fits(rows * cols, sizeof(float))) {
     return false;
   }
   *out = linalg::Matrix(rows, cols);
@@ -241,7 +243,8 @@ Status ReadMatrixPrefix(BinaryReader& reader, const std::string& path,
     return Corrupt(reader, path, "bad matrix payload");
   }
   if (*rows < 0 || *cols < 0 ||
-      (*cols > 0 && *rows > reader.max_elements() / *cols)) {
+      (*cols > 0 && *rows > reader.max_elements() / *cols) ||
+      !reader.Fits(*rows * *cols, sizeof(float))) {
     return Status::Corruption(path + ": implausible matrix shape");
   }
   if (version >= kMatrixVersionAligned &&
@@ -762,7 +765,8 @@ Status LoadIvf(const std::string& path, index::IvfIndex* out,
             !reader.ReadAlignmentPad(kCacheLineBytes)) {
           return Corrupt(reader, path, "truncated ivf code section");
         }
-        if (record_bytes > static_cast<uint64_t>(reader.max_elements()))
+        if (record_bytes > static_cast<uint64_t>(reader.max_elements()) ||
+            record_bytes > reader.BytesLeft())
           return Status::Corruption(path + ": ivf code payload out of range");
         if (options.backend == storage::StorageBackend::kMmap) {
           map_offset = reader.Tell();

@@ -224,14 +224,30 @@ std::vector<int32_t> NearestCentroids(const linalg::Matrix& centroids,
 
   using Entry = std::pair<float, int32_t>;  // (distance, id), max-heap
   std::priority_queue<Entry> heap;
-  for (int64_t c = 0; c < centroids.rows(); ++c) {
-    float dist = simd::L2Sqr(centroids.Row(c), x, d);
+  const auto consider = [&heap, nprobe](int64_t c, float dist) {
     if (static_cast<int>(heap.size()) < nprobe) {
       heap.emplace(dist, static_cast<int32_t>(c));
     } else if (dist < heap.top().first) {
       heap.pop();
       heap.emplace(dist, static_cast<int32_t>(c));
     }
+  };
+  // Four centroids per kernel call; its lanes are bit-identical to the
+  // single-pair L2Sqr, and centroids are still considered in id order, so
+  // ties resolve exactly as in a one-at-a-time loop.
+  const int64_t num_centroids = centroids.rows();
+  const float* rows[simd::kBatchWidth];
+  float dist[simd::kBatchWidth];
+  int64_t c = 0;
+  for (; c + simd::kBatchWidth <= num_centroids; c += simd::kBatchWidth) {
+    for (int r = 0; r < simd::kBatchWidth; ++r) {
+      rows[r] = centroids.Row(c + r);
+    }
+    simd::L2SqrBatch4(x, rows, d, dist);
+    for (int r = 0; r < simd::kBatchWidth; ++r) consider(c + r, dist[r]);
+  }
+  for (; c < num_centroids; ++c) {
+    consider(c, simd::L2Sqr(centroids.Row(c), x, d));
   }
   std::vector<int32_t> out(heap.size());
   for (int64_t i = static_cast<int64_t>(heap.size()) - 1; i >= 0; --i) {

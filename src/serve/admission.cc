@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "linalg/matrix.h"
@@ -67,6 +68,10 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
   const Clock::time_point admitted_at = Clock::now();
 
   if (k <= 0) {
+    {
+      util::MutexLock lock(pending_mu_);
+      if (!accepting_) return Rejected();
+    }
     // Mirrors Search's clamp: an empty answer, no group membership.
     std::promise<std::vector<index::Neighbor>> promise;
     promise.set_value({});
@@ -89,7 +94,9 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
   bool new_group = false;
   {
     util::MutexLock lock(pending_mu_);
-    RESINFER_CHECK(accepting_);  // Submit after Shutdown is a caller bug
+    // Checked under the lock Shutdown takes, so a request is either
+    // refused here or filed before Shutdown drains the pending groups.
+    if (!accepting_) return Rejected();
     std::shared_ptr<PendingGroup>* slot = nullptr;
     if (options_.coalesce) {
       auto [it, inserted] = pending_.try_emplace(key);
@@ -129,6 +136,13 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
     flusher_cv_.NotifyOne();  // a fresh deadline may now be the earliest
   }
   return future;
+}
+
+std::future<std::vector<index::Neighbor>> IvfServer::Rejected() {
+  std::promise<std::vector<index::Neighbor>> promise;
+  promise.set_exception(std::make_exception_ptr(RequestRejected(
+      util::Status::FailedPrecondition("IvfServer: Submit after Shutdown"))));
+  return promise.get_future();
 }
 
 // Moves as many members as still fit in `to` from the front of `from`.

@@ -54,7 +54,9 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "index/batch.h"
@@ -62,6 +64,7 @@
 #include "index/ivf_index.h"
 #include "serve/executor.h"
 #include "util/histogram.h"
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace resinfer::serve {
@@ -107,6 +110,17 @@ struct ServingStats {
   double MeanOccupancy() const { return group_occupancy.mean(); }
 };
 
+// What get() throws on the future of a request the server refused.
+class RequestRejected : public std::runtime_error {
+ public:
+  explicit RequestRejected(util::Status status)
+      : std::runtime_error(status.ToString()), status_(std::move(status)) {}
+  const util::Status& status() const { return status_; }
+
+ private:
+  util::Status status_;
+};
+
 class IvfServer {
  public:
   // `index` and the computers `factory` builds must outlive the server;
@@ -123,8 +137,9 @@ class IvfServer {
   // Admits one query (dim() floats; copied, the caller's buffer may be
   // reused immediately). Thread-safe. The future resolves to the same
   // neighbors Search(computer, query, k, nprobe) returns, bit-identically;
-  // k <= 0 resolves to an empty result without being grouped. Must not be
-  // called once Shutdown has begun.
+  // k <= 0 resolves to an empty result without being grouped. Once
+  // Shutdown has begun the request is refused: the future is ready at once
+  // and get() throws RequestRejected with a FAILED_PRECONDITION status.
   std::future<std::vector<index::Neighbor>> Submit(const float* query, int k,
                                                    int nprobe)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);
@@ -170,6 +185,8 @@ class IvfServer {
     }
   };
 
+  // A ready future carrying RequestRejected (Submit after Shutdown).
+  static std::future<std::vector<index::Neighbor>> Rejected();
   // Moves the group onto the executor.
   void Dispatch(std::shared_ptr<PendingGroup> group)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);

@@ -5,8 +5,9 @@
 //   * containers as  int64 count  followed by raw payload,
 //   * each file starts with a 8-byte magic and a uint32 version.
 // Readers never trust the payload: counts are bounds-checked against
-// sane limits and every read is checked, so truncated or corrupted files
-// fail cleanly instead of over-allocating.
+// sane limits and against the bytes left to read (BinaryReader::Fits)
+// before anything is sized from them, and every read is checked, so
+// truncated or corrupted files fail cleanly instead of over-allocating.
 //
 // Checksummed envelope (persist format v5, see docs/persistence.md): the
 // payload after the header is split into named sections
@@ -264,7 +265,13 @@ class BinaryReader {
   // corrupted counts causing huge allocations.
   explicit BinaryReader(const std::string& path,
                         int64_t max_elements = (1LL << 33))
-      : file_(std::fopen(path.c_str(), "rb")), max_elements_(max_elements) {}
+      : file_(std::fopen(path.c_str(), "rb")), max_elements_(max_elements) {
+    if (file_ != nullptr && std::fseek(file_, 0, SEEK_END) == 0) {
+      file_size_ = static_cast<int64_t>(std::ftell(file_));
+      if (std::fseek(file_, 0, SEEK_SET) != 0) file_size_ = -1;
+    }
+    if (file_ != nullptr && file_size_ < 0) Fail("cannot determine file size");
+  }
 
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
@@ -308,7 +315,7 @@ class BinaryReader {
     static_assert(std::is_trivially_copyable_v<T>);
     int64_t count = 0;
     if (!Read(&count)) return false;
-    if (count < 0 || count > max_elements_) {
+    if (count < 0 || count > max_elements_ || !Fits(count, sizeof(T))) {
       Fail("container count out of range");
       return false;
     }
@@ -320,7 +327,7 @@ class BinaryReader {
   bool ReadString(std::string* s) {
     int64_t count = 0;
     if (!Read(&count)) return false;
-    if (count < 0 || count > max_elements_) {
+    if (count < 0 || count > max_elements_ || !Fits(count, 1)) {
       Fail("container count out of range");
       return false;
     }
@@ -339,6 +346,26 @@ class BinaryReader {
   int64_t Tell() const {
     if (file_ == nullptr || failed_) return -1;
     return static_cast<int64_t>(std::ftell(file_));
+  }
+
+  // Bytes the reads from here on can still deliver: the rest of the file,
+  // and inside a section at most the rest of its declared payload. 0 after
+  // a failure.
+  uint64_t BytesLeft() const {
+    const int64_t pos = Tell();
+    if (pos < 0 || pos > file_size_) return 0;
+    const uint64_t in_file = static_cast<uint64_t>(file_size_ - pos);
+    return in_section_ && payload_remaining_ < in_file ? payload_remaining_
+                                                       : in_file;
+  }
+
+  // True when `count` elements of `element_bytes` each fit in BytesLeft().
+  // Every length read from a file is checked with this before anything is
+  // sized from it, so a corrupted count fails cleanly instead of asking
+  // for gigabytes the file could never fill.
+  bool Fits(int64_t count, std::size_t element_bytes) const {
+    return count >= 0 &&
+           static_cast<uint64_t>(count) <= BytesLeft() / element_bytes;
   }
 
   // Consumes padding written by WriteAlignmentPad: [u32 pad_len][pad
@@ -517,6 +544,7 @@ class BinaryReader {
   std::FILE* file_ = nullptr;
   bool failed_ = false;
   int64_t max_elements_;
+  int64_t file_size_ = -1;
   std::string fail_reason_;
   bool checksummed_ = false;
   bool in_section_ = false;

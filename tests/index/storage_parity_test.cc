@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include "core/ddc_any.h"
+#include "core/ddc_pca.h"
+#include "core/ddc_res.h"
 #include "core/training_data.h"
 #include "index/batch.h"
 #include "index/distance_computer.h"
 #include "index/ivf_index.h"
+#include "linalg/pca.h"
 #include "persist/persist.h"
 #include "quant/code_store.h"
 #include "simd/dispatch.h"
@@ -249,6 +252,134 @@ TEST(StorageParityTest, SearchBatchBitIdenticalAcrossBackends) {
       }
       ExpectSameStats(memory_computer->stats(), mapped_computer->stats(),
                       label);
+    }
+  }
+}
+
+// DDCpca and DDCres stream prefix-only records and read survivors' full
+// rows from the rotated base by id, so their parity crosses both: on the
+// mmap route the records and the rotated rows are both served from
+// mappings of the saved files.
+struct ProjectionFixture {
+  data::Dataset ds = testing::SmallDataset(1200, 32, 1.0, 206, 8, 140);
+  linalg::PcaModel pca;
+  linalg::Matrix rotated;
+  core::DdcPcaArtifacts pca_artifacts;
+  core::DdcResOptions res_options;
+  std::filesystem::path dir;
+  std::string pca_path, res_path;
+  persist::MappedMatrix mapped_rotated;
+
+  ProjectionFixture() {
+    pca = linalg::PcaModel::Fit(ds.base.data(), ds.size(), ds.dim());
+    rotated = pca.TransformBatch(ds.base.data(), ds.size());
+    core::DdcPcaOptions pca_options;
+    pca_options.init_dim = 8;
+    pca_options.delta_dim = 8;
+    pca_options.training.max_queries = 60;
+    pca_artifacts = core::TrainDdcPca(pca, rotated, ds.base,
+                                      ds.train_queries, pca_options);
+    res_options.init_dim = 8;
+    res_options.delta_dim = 8;
+
+    index::IvfOptions options;
+    options.num_clusters = 16;
+    index::IvfIndex ivf = index::IvfIndex::Build(ds.base, options);
+    dir = std::filesystem::temp_directory_path() /
+          "resinfer_storage_parity_projection_test";
+    std::filesystem::create_directories(dir);
+    pca_path = (dir / "ivf_ddc_pca_v6.bin").string();
+    res_path = (dir / "ivf_ddc_res_v6.bin").string();
+    ivf.AttachCodesFrom(*PcaFactory()());
+    util::Status s = persist::SaveIvf(pca_path, ivf);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    ivf.AttachCodesFrom(*ResFactory()());
+    s = persist::SaveIvf(res_path, ivf);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    const std::string rotated_path = (dir / "rotated_v3.bin").string();
+    s = persist::SaveMatrix(rotated_path, rotated);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    s = persist::LoadMatrixMapped(rotated_path, &mapped_rotated,
+                                  StorageBackend::kMmap);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+  }
+
+  // Computers over the heap rotated base, or over its mapping.
+  index::ComputerFactory PcaFactory(bool mapped = false) {
+    const linalg::Matrix* rows = mapped ? &mapped_rotated.matrix : &rotated;
+    return [this, rows] {
+      return std::make_unique<core::DdcPcaComputer>(&pca, rows,
+                                                    &pca_artifacts);
+    };
+  }
+  index::ComputerFactory ResFactory(bool mapped = false) {
+    const linalg::Matrix* rows = mapped ? &mapped_rotated.matrix : &rotated;
+    return [this, rows] {
+      return std::make_unique<core::DdcResComputer>(&pca, rows, res_options);
+    };
+  }
+};
+
+ProjectionFixture& Projection() {
+  static ProjectionFixture* fixture = new ProjectionFixture();
+  return *fixture;
+}
+
+TEST(StorageParityTest, ProjectionPrefixStoresBitIdenticalToMemoryAndGather) {
+  ProjectionFixture& f = Projection();
+  ASSERT_EQ(f.mapped_rotated.backend, StorageBackend::kMmap);
+  const std::vector<Route> routes = {{"ddc-pca", f.PcaFactory()},
+                                     {"ddc-res", f.ResFactory()}};
+  for (const Route& route : routes) {
+    const bool is_pca = route.name == "ddc-pca";
+    const std::string& path = is_pca ? f.pca_path : f.res_path;
+    index::IvfIndex memory = LoadWith(path, StorageBackend::kMemory);
+    index::IvfIndex mapped = LoadWith(path, StorageBackend::kMmap);
+    // The gather reference: the same buckets with no records attached.
+    index::IvfIndex gather = LoadWith(path, StorageBackend::kMemory);
+    gather.DetachCodes();
+    auto memory_computer = route.factory();
+    auto mapped_computer =
+        (is_pca ? f.PcaFactory(true) : f.ResFactory(true))();
+    auto gather_computer = route.factory();
+    ASSERT_EQ(mapped.codes().storage_backend(), StorageBackend::kMmap);
+    ASSERT_EQ(memory.codes().tag(), memory_computer->code_tag())
+        << route.name;
+    ASSERT_EQ(mapped.codes().tag(), mapped_computer->code_tag())
+        << route.name;
+    // Prefix-only records: 8 floats (+ ||x||^2 for ddc-res).
+    EXPECT_EQ(mapped.codes().stride(), is_pca ? 32 : 36);
+
+    for (simd::SimdLevel level : simd::SupportedLevels()) {
+      simd::ScopedSimdLevel guard(level);
+      for (int64_t q = 0; q < f.ds.queries.rows(); ++q) {
+        const std::string label = route.name + " level=" +
+                                  simd::SimdLevelName(level) +
+                                  " q=" + std::to_string(q);
+        memory_computer->stats().Reset();
+        mapped_computer->stats().Reset();
+        gather_computer->stats().Reset();
+        auto want = gather.Search(*gather_computer, f.ds.queries.Row(q), kK,
+                                  kNprobe);
+        auto from_memory = memory.Search(*memory_computer,
+                                         f.ds.queries.Row(q), kK, kNprobe);
+        auto from_mapping = mapped.Search(*mapped_computer,
+                                          f.ds.queries.Row(q), kK, kNprobe);
+        ASSERT_EQ(want.size(), from_memory.size()) << label;
+        ASSERT_EQ(want.size(), from_mapping.size()) << label;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(want[i].id, from_memory[i].id) << label << " rank " << i;
+          ASSERT_EQ(want[i].distance, from_memory[i].distance)
+              << label << " rank " << i;
+          ASSERT_EQ(want[i].id, from_mapping[i].id) << label << " rank " << i;
+          ASSERT_EQ(want[i].distance, from_mapping[i].distance)
+              << label << " rank " << i;
+        }
+        ExpectSameStats(gather_computer->stats(), memory_computer->stats(),
+                        label + " memory");
+        ExpectSameStats(gather_computer->stats(), mapped_computer->stats(),
+                        label + " mmap");
+      }
     }
   }
 }

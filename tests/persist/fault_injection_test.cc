@@ -4,8 +4,10 @@
 // corruptions — and every mutant must come back as a clean non-OK
 // util::Status. No crash, no CHECK-abort, no silently-loaded garbage.
 //
-// The RNG seeds are fixed, so the exact mutation set is deterministic
-// across runs and hosts: if this suite is green once, it stays green.
+// The RNG seeds are fixed and offsets are mapped from the raw mt19937
+// output (Draw), so the exact mutation set is deterministic across runs,
+// hosts and standard libraries: if this suite is green once, it stays
+// green.
 //
 // Run via the labeled ctest entry:  ctest -L fault-injection
 #include <unistd.h>
@@ -44,6 +46,14 @@ struct FormatCase {
   std::function<Status(const std::string& path)> save;
   std::function<Status(const std::string& path)> load;
 };
+
+// A value in [lo, hi] from the engine's next output. The mapping is spelled
+// out because std::uniform_int_distribution's is left to the standard
+// library: libstdc++ and libc++ would draw different mutations from one
+// seed, while mt19937's output sequence is fixed by the standard.
+std::size_t Draw(std::mt19937& rng, std::size_t lo, std::size_t hi) {
+  return lo + static_cast<std::size_t>(rng()) % (hi - lo + 1);
+}
 
 // Mutation counts per format. 12 current formats x 35 + 4 legacy fixtures
 // x 25 + 4 frozen checksummed fixtures x 35 + 35 for the mmap recipe =
@@ -92,22 +102,21 @@ class FaultInjectionTest : public ::testing::Test {
       file.Reset();
     };
 
-    std::uniform_int_distribution<std::size_t> byte_dist(0, file.size() - 1);
+    const auto any_byte = [&rng, &file] {
+      return Draw(rng, 0, file.size() - 1);
+    };
     if (include_bit_flips) {
-      std::uniform_int_distribution<int> bit_dist(0, 7);
       for (int i = 0; i < kBitFlipsPerFormat; ++i) {
-        const std::size_t byte = byte_dist(rng);
-        const int bit = bit_dist(rng);
+        const std::size_t byte = any_byte();
+        const int bit = static_cast<int>(Draw(rng, 0, 7));
         file.FlipBit(byte, bit);
         check_load_fails("bit flip at byte " + std::to_string(byte) +
                          " bit " + std::to_string(bit));
       }
-      std::uniform_int_distribution<std::size_t> len_dist(1, 16);
-      std::uniform_int_distribution<int> mask_dist(1, 255);
       for (int i = 0; i < kRangeCorruptionsPerFormat; ++i) {
-        const std::size_t offset = byte_dist(rng);
-        const std::size_t len = len_dist(rng);
-        const uint8_t mask = static_cast<uint8_t>(mask_dist(rng));
+        const std::size_t offset = any_byte();
+        const std::size_t len = Draw(rng, 1, 16);
+        const uint8_t mask = static_cast<uint8_t>(Draw(rng, 1, 255));
         file.CorruptRange(offset, len, mask);
         check_load_fails("range corruption at " + std::to_string(offset));
       }
@@ -115,7 +124,7 @@ class FaultInjectionTest : public ::testing::Test {
     const int truncations = include_bit_flips ? kTruncationsPerFormat
                                               : kTruncationsPerLegacyFixture;
     for (int i = 0; i < truncations; ++i) {
-      const std::size_t new_size = byte_dist(rng);  // always drops >= 1 byte
+      const std::size_t new_size = any_byte();  // always drops >= 1 byte
       file.Truncate(new_size);
       check_load_fails("truncation to " + std::to_string(new_size));
     }

@@ -1,11 +1,15 @@
 #include "quant/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -115,6 +119,69 @@ TEST(KMeansTest, NprobeClampedToK) {
   auto data = ThreeBlobs(10, 13);
   KMeansResult res = KMeans(data.data(), 30, 2, 3);
   EXPECT_EQ(NearestCentroids(res.centroids, data.data(), 10).size(), 3u);
+}
+
+// Reference ranking, one centroid at a time: single-pair distances in id
+// order, a later centroid displacing a kept one only if strictly closer.
+std::vector<int32_t> SinglePairRanking(const linalg::Matrix& centroids,
+                                       const float* x, int nprobe) {
+  std::vector<std::pair<float, int32_t>> kept;
+  for (int64_t c = 0; c < centroids.rows(); ++c) {
+    const float dist =
+        simd::L2Sqr(centroids.Row(c), x,
+                    static_cast<std::size_t>(centroids.cols()));
+    kept.emplace_back(dist, static_cast<int32_t>(c));
+    std::stable_sort(kept.begin(), kept.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    if (static_cast<int>(kept.size()) > nprobe) kept.pop_back();
+  }
+  std::vector<int32_t> ids;
+  for (const auto& entry : kept) ids.push_back(entry.second);
+  return ids;
+}
+
+TEST(KMeansTest, NearestCentroidsMatchesBatchAndSinglePairRanking) {
+  // The four-wide ranking must return the single-pair loop's ids in its
+  // order at every SIMD level, with a tail of 3 centroids after the
+  // four-wide groups and exact ties (duplicated centroid rows) inside one
+  // group, across groups and in the tail. The first queries sit on a
+  // duplicated row, so its pair ties for nearest; every nprobe is tried,
+  // so each tied pair is split by the cut-off for some nprobe.
+  const int64_t d = 24;
+  linalg::Matrix centroids = resinfer::testing::RandomMatrix(39, d, 31);
+  linalg::Matrix queries = resinfer::testing::RandomMatrix(13, d, 32);
+  int64_t tied_query = 0;
+  for (auto [from, to] : {std::pair<int64_t, int64_t>{5, 6}, {14, 17},
+                          {36, 38}}) {
+    std::copy(centroids.Row(from), centroids.Row(from) + d,
+              centroids.Row(to));
+    std::copy(centroids.Row(from), centroids.Row(from) + d,
+              queries.Row(tied_query++));
+  }
+
+  for (simd::SimdLevel level : simd::SupportedLevels()) {
+    simd::ScopedSimdLevel guard(level);
+    for (int nprobe = 1; nprobe <= centroids.rows(); ++nprobe) {
+      std::vector<int32_t> batch(
+          static_cast<std::size_t>(queries.rows() * nprobe));
+      NearestCentroidsBatch(centroids, queries, 0, queries.rows(), nprobe,
+                            batch.data());
+      for (int64_t q = 0; q < queries.rows(); ++q) {
+        const std::vector<int32_t> got =
+            NearestCentroids(centroids, queries.Row(q), nprobe);
+        const std::vector<int32_t> want =
+            SinglePairRanking(centroids, queries.Row(q), nprobe);
+        const std::vector<int32_t> batch_row(
+            batch.begin() + q * nprobe, batch.begin() + (q + 1) * nprobe);
+        EXPECT_EQ(got, want) << simd::SimdLevelName(level)
+                             << " nprobe=" << nprobe << " q=" << q;
+        EXPECT_EQ(got, batch_row) << simd::SimdLevelName(level)
+                                  << " nprobe=" << nprobe << " q=" << q;
+      }
+    }
+  }
 }
 
 TEST(KMeansTest, NearestCentroidsBatchMatchesPerQuery) {

@@ -243,6 +243,34 @@ TEST(ServingTest, ShutdownDrainsInFlightWork) {
   EXPECT_EQ(stats.latency_seconds.count(), f.ds.queries.rows());
 }
 
+TEST(ServingTest, SubmitAfterShutdownIsRefusedWithAReadyFuture) {
+  ServingFixture& f = Fixture();
+  AdmissionOptions options;
+  options.num_threads = 1;
+  IvfServer server(&f.ivf, f.ExactFactory(), options);
+  server.Shutdown();
+  // Both the grouped path and the k <= 0 clamp refuse: nothing may be
+  // filed once the pending groups have been drained.
+  for (int k : {5, 0}) {
+    auto future = server.Submit(f.ds.queries.Row(0), k, 4);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "k=" << k;
+    try {
+      future.get();
+      ADD_FAILURE() << "k=" << k << ": refused request resolved to a value";
+    } catch (const RequestRejected& rejected) {
+      EXPECT_EQ(rejected.status().code(),
+                util::StatusCode::kFailedPrecondition)
+          << "k=" << k;
+      EXPECT_FALSE(rejected.status().message().empty()) << "k=" << k;
+    }
+  }
+  ServingStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.groups, 0);
+}
+
 TEST(ServingTest, DifferentParametersNeverShareAGroup) {
   ServingFixture& f = Fixture();
   AdmissionOptions options;
