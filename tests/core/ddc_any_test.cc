@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,8 +140,12 @@ TEST(DdcAnyTest, TrainedCorrectorMeetsTargetRecallOnTrainingSet) {
   EXPECT_GT(metrics.label1_recall, 0.3);  // it must actually prune
 }
 
+// Plain bytes only: gtest prints a parameter it has no printer for as a
+// byte dump inside the test name, and a std::string member put its heap
+// address there, so the name changed from one test discovery to the next.
+// The buffer keeps the struct at the 40 bytes it had.
 struct BackendCase {
-  std::string name;
+  char name[32];
   double min_recall;
 };
 
@@ -149,9 +154,9 @@ class DdcAnyEndToEndTest : public ::testing::TestWithParam<BackendCase> {
   std::unique_ptr<DdcAnyComputer> MakeComputer(const LinearCorrector* c) {
     AnyFixture& f = Fixture();
     std::unique_ptr<ApproxDistanceEstimator> estimator;
-    if (GetParam().name == "pq") {
+    if (std::string_view(GetParam().name) == "pq") {
       estimator = std::make_unique<PqAdcEstimator>(&f.pq);
-    } else if (GetParam().name == "rq") {
+    } else if (std::string_view(GetParam().name) == "rq") {
       estimator = std::make_unique<RqAdcEstimator>(&f.rq);
     } else {
       estimator = std::make_unique<SqAdcEstimator>(&f.sq);
@@ -165,9 +170,9 @@ class DdcAnyEndToEndTest : public ::testing::TestWithParam<BackendCase> {
     TrainingDataOptions training;
     training.max_queries = 150;
     std::unique_ptr<ApproxDistanceEstimator> estimator;
-    if (GetParam().name == "pq") {
+    if (std::string_view(GetParam().name) == "pq") {
       estimator = std::make_unique<PqAdcEstimator>(&f.pq);
-    } else if (GetParam().name == "rq") {
+    } else if (std::string_view(GetParam().name) == "rq") {
       estimator = std::make_unique<RqAdcEstimator>(&f.rq);
     } else {
       estimator = std::make_unique<SqAdcEstimator>(&f.sq);
