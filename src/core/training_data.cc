@@ -6,7 +6,6 @@
 #include "data/ground_truth.h"
 #include "simd/kernels.h"
 #include "util/macros.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace resinfer::core {
@@ -22,7 +21,7 @@ std::vector<LabeledPair> CollectLabeledPairs(
   const int64_t n = base.rows();
   const std::size_t d = static_cast<std::size_t>(base.cols());
 
-  // Exact extended KNN per training query, in parallel. The extension
+  // Exact extended KNN per training query (tiled, in parallel). The extension
   // beyond k supplies "hard" negatives: points just outside tau, which is
   // exactly the region an index's refinement phase evaluates. Training on
   // uniform negatives alone would place the decision boundary too
@@ -31,11 +30,8 @@ std::vector<LabeledPair> CollectLabeledPairs(
   const int uniform_negatives = options.negatives_per_query - hard_negatives;
   const int extended_k =
       static_cast<int>(std::min<int64_t>(options.k + hard_negatives, n));
-  std::vector<std::vector<data::Neighbor>> knn(num_queries);
-  ParallelForEach(num_queries, [&](int64_t q, int /*thread*/) {
-    knn[q] =
-        data::BruteForceKnnSingle(base, train_queries.Row(q), extended_k);
-  });
+  const std::vector<std::vector<data::Neighbor>> knn =
+      data::ExactKnn(base, train_queries, num_queries, extended_k);
 
   std::vector<LabeledPair> pairs;
   pairs.reserve(static_cast<std::size_t>(num_queries) *

@@ -14,8 +14,15 @@ namespace resinfer::quant {
 
 namespace {
 
+// Points per nearest-centroid tile: the query side of L2SqrTile, so each
+// block of four centroid rows is loaded once per 16 points.
+constexpr int kPointTile = 16;
+
 // k-means++: each next seed is drawn proportionally to its squared distance
-// from the nearest already-chosen seed.
+// from the nearest already-chosen seed. Each seed's distance pass runs in
+// parallel, four points per L2SqrBatch4 call (lanes bit-identical to
+// L2Sqr); the double total and the target scan stay one serial pass in
+// index order, so the draws, and with them the seeds, do not change.
 linalg::Matrix SeedPlusPlus(const float* data, int64_t n, int64_t d, int k,
                             Rng& rng) {
   linalg::Matrix centroids(k, d);
@@ -26,13 +33,26 @@ linalg::Matrix SeedPlusPlus(const float* data, int64_t n, int64_t d, int k,
 
   for (int c = 1; c < k; ++c) {
     const float* last = centroids.Row(c - 1);
+    ParallelFor(n, [&](int64_t begin, int64_t end) {
+      const float* rows[simd::kBatchWidth];
+      float dist[simd::kBatchWidth];
+      for (int64_t i = begin; i < end; i += simd::kBatchWidth) {
+        // A short last group repeats its final row; the extra lanes are
+        // ignored.
+        const int live =
+            static_cast<int>(std::min<int64_t>(simd::kBatchWidth, end - i));
+        for (int r = 0; r < simd::kBatchWidth; ++r) {
+          rows[r] = data + (i + std::min(r, live - 1)) * d;
+        }
+        simd::L2SqrBatch4(last, rows, static_cast<std::size_t>(d), dist);
+        for (int r = 0; r < live; ++r) {
+          min_dist[i + r] =
+              std::min(min_dist[i + r], static_cast<double>(dist[r]));
+        }
+      }
+    });
     double total = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      double dist = simd::L2Sqr(data + i * d, last,
-                                static_cast<std::size_t>(d));
-      min_dist[i] = std::min(min_dist[i], dist);
-      total += min_dist[i];
-    }
+    for (int64_t i = 0; i < n; ++i) total += min_dist[i];
     int64_t chosen = n - 1;
     if (total > 0.0) {
       double target = rng.Uniform() * total;
@@ -50,6 +70,16 @@ linalg::Matrix SeedPlusPlus(const float* data, int64_t n, int64_t d, int k,
     std::copy(data + chosen * d, data + (chosen + 1) * d, centroids.Row(c));
   }
   return centroids;
+}
+
+// Assigns every point to its nearest centroid, tiles of points in
+// parallel; best_dist receives the squared distances.
+void AssignAll(const linalg::Matrix& centroids, const float* data, int64_t n,
+               int64_t d, int32_t* assignments, float* best_dist) {
+  ParallelFor(n, [&](int64_t begin, int64_t end) {
+    AssignNearestCentroids(centroids, data + begin * d, end - begin, d,
+                           assignments + begin, best_dist + begin);
+  });
 }
 
 }  // namespace
@@ -70,12 +100,8 @@ KMeansResult KMeans(const float* data, int64_t n, int64_t d, int k,
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
     // Assignment step.
-    ParallelForEach(n, [&](int64_t i, int /*thread*/) {
-      float dist = 0.0f;
-      result.assignments[i] =
-          NearestCentroid(result.centroids, data + i * d, &dist);
-      best_dist[i] = dist;
-    });
+    AssignAll(result.centroids, data, n, d, result.assignments.data(),
+              best_dist.data());
     double inertia = 0.0;
     for (int64_t i = 0; i < n; ++i) inertia += best_dist[i];
     result.inertia = inertia;
@@ -116,30 +142,63 @@ KMeansResult KMeans(const float* data, int64_t n, int64_t d, int k,
   }
 
   // Final assignment against the last centroid update.
-  ParallelForEach(n, [&](int64_t i, int /*thread*/) {
-    float dist = 0.0f;
-    result.assignments[i] =
-        NearestCentroid(result.centroids, data + i * d, &dist);
-    best_dist[i] = dist;
-  });
+  AssignAll(result.centroids, data, n, d, result.assignments.data(),
+            best_dist.data());
   result.inertia = 0.0;
   for (int64_t i = 0; i < n; ++i) result.inertia += best_dist[i];
   return result;
 }
 
-int32_t NearestCentroid(const linalg::Matrix& centroids, const float* x,
-                        float* distance) {
+void AssignNearestCentroids(const linalg::Matrix& centroids,
+                            const float* points, int64_t count,
+                            int64_t stride, int32_t* assignments,
+                            float* distances) {
   const std::size_t d = static_cast<std::size_t>(centroids.cols());
-  int32_t best = 0;
-  float best_dist = std::numeric_limits<float>::max();
-  for (int64_t c = 0; c < centroids.rows(); ++c) {
-    float dist = simd::L2Sqr(centroids.Row(c), x, d);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = static_cast<int32_t>(c);
+  const int64_t num_centroids = centroids.rows();
+  RESINFER_CHECK(num_centroids >= 1);
+
+  const float* point_ptrs[kPointTile];
+  const float* rows[simd::kBatchWidth];
+  float tile[kPointTile * simd::kBatchWidth];
+  float best_dist[kPointTile];
+  int32_t best[kPointTile];
+  for (int64_t p0 = 0; p0 < count; p0 += kPointTile) {
+    const int np = static_cast<int>(std::min<int64_t>(kPointTile, count - p0));
+    for (int g = 0; g < np; ++g) {
+      point_ptrs[g] = points + (p0 + g) * stride;
+      best_dist[g] = std::numeric_limits<float>::max();
+      best[g] = 0;
+    }
+    for (int64_t c = 0; c < num_centroids; c += simd::kBatchWidth) {
+      // A short last block repeats its final row; the extra lanes are
+      // ignored.
+      const int live = static_cast<int>(
+          std::min<int64_t>(simd::kBatchWidth, num_centroids - c));
+      for (int r = 0; r < simd::kBatchWidth; ++r) {
+        rows[r] = centroids.Row(c + std::min(r, live - 1));
+      }
+      simd::L2SqrTile(point_ptrs, np, rows, d, tile);
+      for (int g = 0; g < np; ++g) {
+        const float* lane = tile + g * simd::kBatchWidth;
+        for (int r = 0; r < live; ++r) {
+          if (lane[r] < best_dist[g]) {
+            best_dist[g] = lane[r];
+            best[g] = static_cast<int32_t>(c + r);
+          }
+        }
+      }
+    }
+    std::copy(best, best + np, assignments + p0);
+    if (distances != nullptr) {
+      std::copy(best_dist, best_dist + np, distances + p0);
     }
   }
-  if (distance != nullptr) *distance = best_dist;
+}
+
+int32_t NearestCentroid(const linalg::Matrix& centroids, const float* x,
+                        float* distance) {
+  int32_t best = 0;
+  AssignNearestCentroids(centroids, x, 1, centroids.cols(), &best, distance);
   return best;
 }
 

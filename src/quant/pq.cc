@@ -46,20 +46,26 @@ PqCodebook PqCodebook::Train(const float* data, int64_t n, int64_t d,
   pq.layout_ = pq.m_ <= 256 ? CodeLayout::ForBits(options.nbits)
                             : CodeLayout{options.nbits,
                                          CodePacking::kBytePerCode};
-  pq.codebooks_.reserve(pq.m_);
+  pq.codebooks_.resize(static_cast<std::size_t>(pq.m_));
 
-  std::vector<float> sub(train_n * pq.dsub_);
-  for (int s = 0; s < pq.m_; ++s) {
-    // Gather the sub-space slice contiguously for k-means.
-    for (int64_t i = 0; i < train_n; ++i) {
-      const float* src = train + i * d + s * pq.dsub_;
-      std::copy(src, src + pq.dsub_, sub.data() + i * pq.dsub_);
+  // The sub-space codebooks train concurrently, each k-means on its own
+  // seed; a k-means started inside this loop runs its passes inline, so
+  // the loops do not nest.
+  ParallelForShards(pq.m_, DefaultThreadCount(),
+                    [&](int64_t s_begin, int64_t s_end) {
+    std::vector<float> sub(train_n * pq.dsub_);
+    for (int64_t s = s_begin; s < s_end; ++s) {
+      // Gather the sub-space slice contiguously for k-means.
+      for (int64_t i = 0; i < train_n; ++i) {
+        const float* src = train + i * d + s * pq.dsub_;
+        std::copy(src, src + pq.dsub_, sub.data() + i * pq.dsub_);
+      }
+      KMeansOptions km = options.kmeans;
+      km.seed = options.kmeans.seed + static_cast<uint64_t>(s) * 7919;
+      pq.codebooks_[static_cast<std::size_t>(s)] =
+          KMeans(sub.data(), train_n, pq.dsub_, pq.ksub_, km).centroids;
     }
-    KMeansOptions km = options.kmeans;
-    km.seed = options.kmeans.seed + static_cast<uint64_t>(s) * 7919;
-    KMeansResult res = KMeans(sub.data(), train_n, pq.dsub_, pq.ksub_, km);
-    pq.codebooks_.push_back(std::move(res.centroids));
-  }
+  });
   return pq;
 }
 
@@ -91,15 +97,31 @@ PqCodebook PqCodebook::FromCodebooks(
 
 void PqCodebook::Encode(const float* x, uint8_t* code) const {
   RESINFER_DCHECK(trained());
+  EncodeRange(x, 1, code);
+}
+
+void PqCodebook::EncodeRange(const float* data, int64_t count,
+                             uint8_t* codes) const {
+  const int64_t code_bytes = code_size();
   if (layout_.packed()) {
     // Zero first so the pad nibble of an odd-m tail byte is deterministic.
-    std::fill_n(code, static_cast<std::size_t>(code_size()), uint8_t{0});
+    std::fill_n(codes, static_cast<std::size_t>(count * code_bytes),
+                uint8_t{0});
   }
-  for (int s = 0; s < m_; ++s) {
-    SetCodeAt(code, s,
-              static_cast<uint8_t>(
-                  NearestCentroid(codebooks_[s], x + s * dsub_)),
-              layout_);
+  // Points per sub-space pass: their slices stay cache-resident while the
+  // m codebooks take turns.
+  constexpr int64_t kChunk = 256;
+  int32_t nearest[kChunk];
+  for (int64_t i0 = 0; i0 < count; i0 += kChunk) {
+    const int64_t chunk = std::min(kChunk, count - i0);
+    for (int s = 0; s < m_; ++s) {
+      AssignNearestCentroids(codebooks_[s], data + i0 * dim_ + s * dsub_,
+                             chunk, dim_, nearest, nullptr);
+      for (int64_t i = 0; i < chunk; ++i) {
+        SetCodeAt(codes + (i0 + i) * code_bytes, s,
+                  static_cast<uint8_t>(nearest[i]), layout_);
+      }
+    }
   }
 }
 
@@ -115,9 +137,9 @@ float PqCodebook::ReconstructionError(const float* x) const {
   RESINFER_DCHECK(trained());
   float total = 0.0f;
   for (int s = 0; s < m_; ++s) {
-    int32_t c = NearestCentroid(codebooks_[s], x + s * dsub_);
-    total += simd::L2Sqr(codebooks_[s].Row(c), x + s * dsub_,
-                         static_cast<std::size_t>(dsub_));
+    float dist = 0.0f;
+    NearestCentroid(codebooks_[s], x + s * dsub_, &dist);
+    total += dist;
   }
   return total;
 }
@@ -192,9 +214,8 @@ std::vector<uint8_t> PqCodebook::EncodeBatch(const float* data,
   const int64_t code_bytes = code_size();
   std::vector<uint8_t> codes(static_cast<std::size_t>(n * code_bytes));
   ParallelFor(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      Encode(data + i * dim_, codes.data() + i * code_bytes);
-    }
+    EncodeRange(data + begin * dim_, end - begin,
+                codes.data() + begin * code_bytes);
   });
   return codes;
 }

@@ -107,10 +107,15 @@ class PqCodebook {
     return scale * static_cast<float>(sum) + bias;
   }
 
-  // Batch-encode n rows into a contiguous code array (n * code_size()).
+  // Batch-encode n rows into a contiguous code array (n * code_size()),
+  // in parallel over row ranges; byte-identical to n Encode calls.
   std::vector<uint8_t> EncodeBatch(const float* data, int64_t n) const;
 
  private:
+  // Encodes `count` contiguous rows into count * code_size() bytes through
+  // the tiled nearest-centroid pass (quant::AssignNearestCentroids).
+  void EncodeRange(const float* data, int64_t count, uint8_t* codes) const;
+
   int64_t dim_ = 0;
   int m_ = 0;
   int64_t dsub_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -14,6 +15,10 @@ namespace resinfer::serve {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+util::Status ShutdownStatus() {
+  return util::Status::FailedPrecondition("IvfServer: Submit after Shutdown");
+}
 }  // namespace
 
 IvfServer::IvfServer(const index::IvfIndex* index,
@@ -67,10 +72,18 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
   RESINFER_CHECK(query != nullptr);
   const Clock::time_point admitted_at = Clock::now();
 
+  // A NaN or infinite coordinate has no nearest neighbours; refused before
+  // it can reach the ranking or a group, and not counted as a request.
+  if (!std::all_of(query, query + dim_,
+                   [](float v) { return std::isfinite(v); })) {
+    return Rejected(util::Status::InvalidArgument(
+        "IvfServer: query has a non-finite coordinate"));
+  }
+
   if (k <= 0) {
     {
       util::MutexLock lock(pending_mu_);
-      if (!accepting_) return Rejected();
+      if (!accepting_) return Rejected(ShutdownStatus());
     }
     // Mirrors Search's clamp: an empty answer, no group membership.
     std::promise<std::vector<index::Neighbor>> promise;
@@ -96,7 +109,7 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
     util::MutexLock lock(pending_mu_);
     // Checked under the lock Shutdown takes, so a request is either
     // refused here or filed before Shutdown drains the pending groups.
-    if (!accepting_) return Rejected();
+    if (!accepting_) return Rejected(ShutdownStatus());
     std::shared_ptr<PendingGroup>* slot = nullptr;
     if (options_.coalesce) {
       auto [it, inserted] = pending_.try_emplace(key);
@@ -138,10 +151,11 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
   return future;
 }
 
-std::future<std::vector<index::Neighbor>> IvfServer::Rejected() {
+std::future<std::vector<index::Neighbor>> IvfServer::Rejected(
+    util::Status status) {
   std::promise<std::vector<index::Neighbor>> promise;
-  promise.set_exception(std::make_exception_ptr(RequestRejected(
-      util::Status::FailedPrecondition("IvfServer: Submit after Shutdown"))));
+  promise.set_exception(
+      std::make_exception_ptr(RequestRejected(std::move(status))));
   return promise.get_future();
 }
 
@@ -246,7 +260,10 @@ void IvfServer::FlusherLoop() {
         if (it->second->deadline < oldest->second->deadline) oldest = it;
       }
       if (Clock::now() < oldest->second->deadline) {
-        flusher_cv_.WaitUntil(pending_mu_, oldest->second->deadline);
+        // A copy: the wait releases the lock, and a Submit that fills the
+        // group may dispatch and free it before the wait re-reads the time.
+        const Clock::time_point deadline = oldest->second->deadline;
+        flusher_cv_.WaitUntil(pending_mu_, deadline);
         continue;  // re-evaluate: new groups / Flush / stop may have raced
       }
       // The oldest group has expired. If every worker already has queued

@@ -137,9 +137,11 @@ class IvfServer {
   // Admits one query (dim() floats; copied, the caller's buffer may be
   // reused immediately). Thread-safe. The future resolves to the same
   // neighbors Search(computer, query, k, nprobe) returns, bit-identically;
-  // k <= 0 resolves to an empty result without being grouped. Once
-  // Shutdown has begun the request is refused: the future is ready at once
-  // and get() throws RequestRejected with a FAILED_PRECONDITION status.
+  // k <= 0 resolves to an empty result without being grouped. Refused
+  // requests get a future that is ready at once and whose get() throws
+  // RequestRejected; they are not counted in stats().requests. A query
+  // with a NaN or infinite coordinate is refused with INVALID_ARGUMENT,
+  // and any request once Shutdown has begun with FAILED_PRECONDITION.
   std::future<std::vector<index::Neighbor>> Submit(const float* query, int k,
                                                    int nprobe)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);
@@ -185,8 +187,9 @@ class IvfServer {
     }
   };
 
-  // A ready future carrying RequestRejected (Submit after Shutdown).
-  static std::future<std::vector<index::Neighbor>> Rejected();
+  // A ready future carrying RequestRejected(status).
+  static std::future<std::vector<index::Neighbor>> Rejected(
+      util::Status status);
   // Moves the group onto the executor.
   void Dispatch(std::shared_ptr<PendingGroup> group)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,23 @@ int EnvThreadCount() {
   }
   return 0;
 }
+
+// Set while the thread runs a parallel loop's callback; loops started
+// there run inline instead of starting threads of their own.
+thread_local bool t_in_parallel_loop = false;
+
+class ParallelLoopScope {
+ public:
+  ParallelLoopScope() : saved_(t_in_parallel_loop) {
+    t_in_parallel_loop = true;
+  }
+  ~ParallelLoopScope() { t_in_parallel_loop = saved_; }
+  ParallelLoopScope(const ParallelLoopScope&) = delete;
+  ParallelLoopScope& operator=(const ParallelLoopScope&) = delete;
+
+ private:
+  bool saved_;
+};
 }  // namespace
 
 int DefaultThreadCount() {
@@ -53,31 +71,53 @@ void SetDefaultThreadCount(int threads) {
   g_thread_count.store(threads, std::memory_order_relaxed);
 }
 
-void ParallelFor(int64_t n,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+void ParallelForShards(int64_t n, int threads,
+                       const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
-  int threads = std::min<int64_t>(DefaultThreadCount(), n);
-  if (threads <= 1 || n < 1024) {
+  const int64_t shards =
+      t_in_parallel_loop ? 1
+                         : std::min<int64_t>(ResolveThreadCount(threads), n);
+  if (shards <= 1) {
     fn(0, n);
     return;
   }
-  int64_t chunk = (n + threads - 1) / threads;
+  const int64_t chunk = (n + shards - 1) / shards;
+  const auto run_shard = [&fn](int64_t begin, int64_t end) {
+    ParallelLoopScope scope;
+    fn(begin, end);
+  };
   std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    int64_t begin = t * chunk;
-    int64_t end = std::min<int64_t>(begin + chunk, n);
-    if (begin >= end) break;
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
+  workers.reserve(static_cast<std::size_t>(shards - 1));
+  for (int64_t begin = chunk; begin < n; begin += chunk) {
+    const int64_t end = std::min<int64_t>(begin + chunk, n);
+    workers.emplace_back([&run_shard, begin, end] { run_shard(begin, end); });
+  }
+  // The calling thread takes the first shard instead of idling in join;
+  // the workers are joined before anything it throws leaves this frame.
+  std::exception_ptr error;
+  try {
+    run_shard(0, chunk);
+  } catch (...) {
+    error = std::current_exception();
   }
   for (auto& w : workers) w.join();
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+void ParallelFor(int64_t n,
+                 const std::function<void(int64_t, int64_t)>& fn) {
+  if (n < 1024) {
+    if (n > 0) fn(0, n);
+    return;
+  }
+  ParallelForShards(n, DefaultThreadCount(), fn);
 }
 
 void ParallelForEach(int64_t n,
                      const std::function<void(int64_t, int)>& fn) {
   if (n <= 0) return;
   int threads = std::min<int64_t>(DefaultThreadCount(), n);
-  if (threads <= 1 || n < 256) {
+  if (threads <= 1 || n < 256 || t_in_parallel_loop) {
     for (int64_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
@@ -86,6 +126,7 @@ void ParallelForEach(int64_t n,
   workers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&next, &fn, n, t] {
+      ParallelLoopScope scope;
       // Grab moderately sized batches to amortize the atomic increment
       // while keeping load balanced for skewed per-item costs.
       constexpr int64_t kBatch = 64;

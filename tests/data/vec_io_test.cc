@@ -1,10 +1,13 @@
 #include "data/vec_io.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,7 +19,9 @@ namespace {
 class VecIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "resinfer_vec_io_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("resinfer_vec_io_test_" +
+            std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

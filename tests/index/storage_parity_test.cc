@@ -7,6 +7,8 @@
 // scan kernels cannot tell them apart — this suite is the proof, and the
 // CI matrix re-runs it (plus the serving suite) with RESINFER_STORAGE=mmap
 // to cover the env-default path end to end.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -88,7 +90,8 @@ struct ParityFixture {
     }
 
     dir = std::filesystem::temp_directory_path() /
-          "resinfer_storage_parity_test";
+          ("resinfer_storage_parity_test_" +
+           std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir);
     bytes_path = (dir / "ivf_bytes_v6.bin").string();
     packed_path = (dir / "ivf_packed_v6.bin").string();
@@ -286,7 +289,8 @@ struct ProjectionFixture {
     options.num_clusters = 16;
     index::IvfIndex ivf = index::IvfIndex::Build(ds.base, options);
     dir = std::filesystem::temp_directory_path() /
-          "resinfer_storage_parity_projection_test";
+          ("resinfer_storage_parity_projection_test_" +
+           std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir);
     pca_path = (dir / "ivf_ddc_pca_v6.bin").string();
     res_path = (dir / "ivf_ddc_res_v6.bin").string();

@@ -7,10 +7,13 @@
 // accounting are pinned. The CI TSan job runs this suite.
 #include "serve/admission.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -271,6 +274,54 @@ TEST(ServingTest, SubmitAfterShutdownIsRefusedWithAReadyFuture) {
   EXPECT_EQ(stats.groups, 0);
 }
 
+TEST(ServingTest, NonFiniteQueryIsRefusedAsInvalidArgument) {
+  ServingFixture& f = Fixture();
+  AdmissionOptions options;
+  options.num_threads = 1;
+  IvfServer server(&f.ivf, f.ExactFactory(), options);
+  const int64_t d = f.ds.queries.cols();
+  std::vector<float> nan_first(f.ds.queries.Row(0), f.ds.queries.Row(0) + d);
+  nan_first.front() = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> inf_last(f.ds.queries.Row(1), f.ds.queries.Row(1) + d);
+  inf_last.back() = std::numeric_limits<float>::infinity();
+  std::vector<float> neg_inf(f.ds.queries.Row(2), f.ds.queries.Row(2) + d);
+  neg_inf[static_cast<std::size_t>(d / 2)] =
+      -std::numeric_limits<float>::infinity();
+
+  // Both the grouped path and the k <= 0 clamp refuse the query.
+  for (int k : {5, 0}) {
+    int which = 0;
+    for (const std::vector<float>* query : {&nan_first, &inf_last, &neg_inf}) {
+      const std::string where =
+          "k=" + std::to_string(k) + " query=" + std::to_string(which++);
+      auto future = server.Submit(query->data(), k, 4);
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << where;
+      try {
+        future.get();
+        ADD_FAILURE() << where << ": refused request resolved to a value";
+      } catch (const RequestRejected& rejected) {
+        EXPECT_EQ(rejected.status().code(),
+                  util::StatusCode::kInvalidArgument)
+            << where;
+        EXPECT_FALSE(rejected.status().message().empty()) << where;
+      }
+    }
+  }
+  ServingStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.groups, 0);
+
+  // The server keeps answering finite queries bit-identically.
+  std::unique_ptr<index::DistanceComputer> computer = f.ExactFactory()();
+  const std::vector<index::Neighbor> want =
+      f.ivf.Search(*computer, f.ds.queries.Row(3), 5, 4);
+  ExpectSameNeighbors(want, server.Submit(f.ds.queries.Row(3), 5, 4).get(),
+                      "finite after refusals");
+  EXPECT_EQ(server.stats().requests, 1);
+}
+
 TEST(ServingTest, DifferentParametersNeverShareAGroup) {
   ServingFixture& f = Fixture();
   AdmissionOptions options;
@@ -359,7 +410,8 @@ TEST(ServingTest, MmapLoadedIndexServesBitIdenticalAnswers) {
   const auto want = SoloAnswers(f, f.DdcPqFactory(), k, nprobe);
 
   const auto dir = std::filesystem::temp_directory_path() /
-                   "resinfer_serving_mmap_test";
+                   ("resinfer_serving_mmap_test_" +
+                    std::to_string(static_cast<long long>(::getpid())));
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "ivf_v6.bin").string();
   util::Status saved = persist::SaveIvf(path, f.ivf);

@@ -5,6 +5,8 @@
 // file pins the byte-level contracts those tests build on.
 #include "storage/storage.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -22,7 +24,9 @@ namespace {
 class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "resinfer_storage_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("resinfer_storage_test_" +
+            std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
