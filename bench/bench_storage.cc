@@ -152,7 +152,8 @@ int RunPhase(const std::string& dir, const std::string& phase) {
   const double load_ms = load_timer.ElapsedMillis();
   const double load_rss_mb = CurrentRssMb();
 
-  core::DdcOpqComputer computer(&base.matrix, &artifacts);
+  const auto owned = core::MakeDdcOpqComputer(&base.matrix, &artifacts);
+  index::DistanceComputer& computer = *owned;
   if (!ivf.has_codes() || ivf.codes().tag() != computer.code_tag()) {
     std::fprintf(stderr, "[storage] %s: code tag mismatch — scans would "
                          "fall back to the gather path\n", phase.c_str());
@@ -256,10 +257,7 @@ int RunParent(const std::string& self) {
   ivf_options.num_clusters = static_cast<int>(
       std::lround(std::sqrt(static_cast<double>(ds.size()))));
   index::IvfIndex ivf = index::IvfIndex::Build(ds.base, ivf_options);
-  {
-    core::DdcOpqComputer computer(&ds.base, &artifacts);
-    ivf.AttachCodesFrom(computer);
-  }
+  ivf.AttachCodesFrom(*core::MakeDdcOpqComputer(&ds.base, &artifacts));
 
   // Serving workload with cluster-skewed access: queries are base rows
   // drawn round-robin from a handful of hot regions (the largest buckets),

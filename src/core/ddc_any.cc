@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/pq_scan.h"
 #include "index/block_refine.h"
 #include "simd/kernels.h"
 #include "util/macros.h"
@@ -113,11 +112,6 @@ void ApproxDistanceEstimator::SetQueryBatch(const float* queries, int count,
   group_stride_ = stride;
 }
 
-void ApproxDistanceEstimator::SelectQuery(int g) {
-  RESINFER_DCHECK(group_queries_ != nullptr && g >= 0 && g < group_count_);
-  BeginQuery(GroupQuery(g));
-}
-
 void ApproxDistanceEstimator::EstimateBatchCodesGroup(
     const uint8_t* records, int count, const int* members, int num_members,
     float* out, float* extras) {
@@ -129,146 +123,165 @@ void ApproxDistanceEstimator::EstimateBatchCodesGroup(
 }
 
 PqAdcEstimator::PqAdcEstimator(const PqEstimatorData* data)
-    : data_(data), packed_(data != nullptr && data->pq.layout().packed()) {
-  RESINFER_CHECK(data != nullptr && data->pq.trained());
-  adc_table_.resize(static_cast<std::size_t>(data->pq.adc_table_size()));
-  active_table_ = adc_table_.data();
-  if (packed_) {
-    qlut_.resize(static_cast<std::size_t>(data->pq.fast_scan_lut_bytes()));
-    active_qlut_ = qlut_.data();
-  }
+    : PqAdcEstimator(data != nullptr ? &data->pq : nullptr, nullptr,
+                     data != nullptr ? &data->codes : nullptr,
+                     data != nullptr ? &data->recon_errors : nullptr) {}
+
+PqAdcEstimator::PqAdcEstimator(const quant::OpqModel* opq,
+                               const std::vector<uint8_t>* codes,
+                               const std::vector<float>* recon_errors)
+    : PqAdcEstimator(opq != nullptr ? &opq->codebook() : nullptr, opq, codes,
+                     recon_errors) {
+  rotated_.resize(static_cast<std::size_t>(opq->dim()));
+}
+
+PqAdcEstimator::PqAdcEstimator(const quant::PqCodebook* pq,
+                               const quant::OpqModel* opq,
+                               const std::vector<uint8_t>* codes,
+                               const std::vector<float>* recon_errors)
+    : pq_(pq),
+      opq_(opq),
+      codes_(codes),
+      recon_errors_(recon_errors),
+      packed_(pq != nullptr && pq->layout().packed()) {
+  RESINFER_CHECK(pq != nullptr && pq->trained() && codes != nullptr &&
+                 recon_errors != nullptr);
 }
 
 int64_t PqAdcEstimator::size() const {
-  return static_cast<int64_t>(data_->recon_errors.size());
-}
-
-void PqAdcEstimator::BeginQuery(const float* query) {
-  data_->pq.ComputeAdcTable(query, adc_table_.data());
-  active_table_ = adc_table_.data();
-  if (packed_) {
-    data_->pq.QuantizeAdcTable(adc_table_.data(), qlut_.data(), &qscale_,
-                               &qbias_);
-    active_qlut_ = qlut_.data();
-    active_qscale_ = qscale_;
-    active_qbias_ = qbias_;
-  }
+  return static_cast<int64_t>(recon_errors_->size());
 }
 
 void PqAdcEstimator::SetQueryBatch(const float* queries, int count,
                                    int64_t stride) {
   ApproxDistanceEstimator::SetQueryBatch(queries, count, stride);
-  const int64_t table_size = data_->pq.adc_table_size();
+  const int64_t table_size = pq_->adc_table_size();
   group_tables_.resize(static_cast<std::size_t>(count * table_size));
-  const int64_t lut_bytes = packed_ ? data_->pq.fast_scan_lut_bytes() : 0;
+  const int64_t lut_bytes = packed_ ? pq_->fast_scan_lut_bytes() : 0;
   if (packed_) {
     group_qluts_.resize(static_cast<std::size_t>(count * lut_bytes));
     group_qscales_.resize(static_cast<std::size_t>(count));
     group_qbiases_.resize(static_cast<std::size_t>(count));
   }
   for (int g = 0; g < count; ++g) {
+    const float* query = GroupQuery(g);
+    if (opq_ != nullptr) {
+      opq_->Rotate(query, rotated_.data());
+      query = rotated_.data();
+    }
     float* table = group_tables_.data() + g * table_size;
-    data_->pq.ComputeAdcTable(GroupQuery(g), table);
+    pq_->ComputeAdcTable(query, table);
     if (packed_) {
-      data_->pq.QuantizeAdcTable(
-          table, group_qluts_.data() + g * lut_bytes,
-          &group_qscales_[static_cast<std::size_t>(g)],
-          &group_qbiases_[static_cast<std::size_t>(g)]);
+      pq_->QuantizeAdcTable(table, group_qluts_.data() + g * lut_bytes,
+                            &group_qscales_[static_cast<std::size_t>(g)],
+                            &group_qbiases_[static_cast<std::size_t>(g)]);
     }
   }
 }
 
 void PqAdcEstimator::SelectQuery(int g) {
   RESINFER_DCHECK(g >= 0 && g < group_count_);
-  active_table_ = group_tables_.data() + g * data_->pq.adc_table_size();
+  active_table_ = group_tables_.data() + g * pq_->adc_table_size();
   if (packed_) {
-    active_qlut_ = group_qluts_.data() + g * data_->pq.fast_scan_lut_bytes();
+    active_qlut_ = group_qluts_.data() + g * pq_->fast_scan_lut_bytes();
     active_qscale_ = group_qscales_[static_cast<std::size_t>(g)];
     active_qbias_ = group_qbiases_[static_cast<std::size_t>(g)];
   }
 }
 
 float PqAdcEstimator::Estimate(int64_t id, float* extra) {
-  *extra = data_->recon_errors[static_cast<std::size_t>(id)];
-  const uint8_t* code = data_->codes.data() + id * data_->pq.code_size();
+  *extra = (*recon_errors_)[static_cast<std::size_t>(id)];
+  const uint8_t* code = codes_->data() + id * pq_->code_size();
   if (packed_) {
     return quant::PqCodebook::DequantizeFastScanSum(
-        simd::PqAdcFastScanOne(active_qlut_, data_->pq.num_subspaces(), code),
+        simd::PqAdcFastScanOne(active_qlut_, pq_->num_subspaces(), code),
         active_qscale_, active_qbias_);
   }
-  return data_->pq.AdcDistance(active_table_, code);
+  return pq_->AdcDistance(active_table_, code);
+}
+
+void PqAdcEstimator::ScoreChunk(const uint8_t* const* codes, int n,
+                                float* out) const {
+  constexpr int kMaxChunk = 32;
+  RESINFER_DCHECK(n <= kMaxChunk);
+  if (packed_) {
+    uint16_t sums[kMaxChunk];
+    simd::PqAdcFastScan(active_qlut_, pq_->num_subspaces(), codes, n, sums);
+    for (int j = 0; j < n; ++j) {
+      out[j] = quant::PqCodebook::DequantizeFastScanSum(
+          sums[j], active_qscale_, active_qbias_);
+    }
+  } else {
+    simd::PqAdcBatch(active_table_, pq_->num_subspaces(),
+                     pq_->num_centroids(), codes, n, out);
+  }
+}
+
+void PqAdcEstimator::Scan(const uint8_t* records, const int64_t* ids,
+                          int count, float* out, float* extras) {
+  constexpr int kChunk = 16;
+  const uint8_t* codes[kChunk];
+  const int64_t code_size = pq_->code_size();
+  const int64_t stride = code_record_stride();
+  for (int i = 0; i < count; i += kChunk) {
+    const int block = std::min(kChunk, count - i);
+    for (int j = 0; j < block; ++j) {
+      if (records != nullptr) {
+        const uint8_t* rec = records + (i + j) * stride;
+        codes[j] = rec;
+        extras[i + j] = quant::RecordSidecars(rec, code_size)[0];
+      } else {
+        const int64_t id = ids[i + j];
+        codes[j] = codes_->data() + id * code_size;
+        extras[i + j] = (*recon_errors_)[static_cast<std::size_t>(id)];
+      }
+    }
+    ScoreChunk(codes, block, out + i);
+  }
 }
 
 void PqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
                                    float* extras) {
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  const int64_t code_size = data_->pq.code_size();
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const int64_t id = ids[i + j];
-      codes[j] = data_->codes.data() + id * code_size;
-      extras[i + j] = data_->recon_errors[static_cast<std::size_t>(id)];
-    }
-    ScorePqChunk(data_->pq, packed_, active_table_, active_qlut_,
-                 active_qscale_, active_qbias_, codes, block, out + i);
-  }
+  Scan(nullptr, ids, count, out, extras);
+}
+
+void PqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
+                                        float* out, float* extras) {
+  Scan(records, nullptr, count, out, extras);
 }
 
 int64_t PqAdcEstimator::query_state_bytes() const {
   // Packed scans read only the quantized LUT (512B at m = 32) — small
   // enough that block-level member tiling always pays.
-  if (packed_) return data_->pq.fast_scan_lut_bytes();
-  return data_->pq.adc_table_size() * static_cast<int64_t>(sizeof(float));
+  if (packed_) return pq_->fast_scan_lut_bytes();
+  return pq_->adc_table_size() * static_cast<int64_t>(sizeof(float));
 }
 
 std::string PqAdcEstimator::code_tag() const {
   if (code_tag_.empty()) {
-    uint64_t f = quant::FingerprintArray(data_->codes.data(),
-                                         data_->codes.size());
-    f = quant::FingerprintArray(data_->recon_errors.data(),
-                                data_->recon_errors.size() * sizeof(float),
-                                f);
-    code_tag_ = quant::MakeCodeTag("pq-adc", data_->pq.code_size(), 1,
-                                   size(), f, data_->pq.layout().packing);
+    uint64_t f = quant::FingerprintArray(codes_->data(), codes_->size());
+    f = quant::FingerprintArray(recon_errors_->data(),
+                                recon_errors_->size() * sizeof(float), f);
+    code_tag_ = quant::MakeCodeTag(opq_ != nullptr ? "ddc-opq" : "pq-adc",
+                                   pq_->code_size(), 1, size(), f,
+                                   pq_->layout().packing);
   }
   return code_tag_;
 }
 
 int64_t PqAdcEstimator::code_record_stride() const {
-  return quant::CodeRecordStride(data_->pq.code_size(), 1);
+  return quant::CodeRecordStride(pq_->code_size(), 1);
 }
 
 quant::CodeStore PqAdcEstimator::MakeCodeStore() const {
-  const int64_t code_size = data_->pq.code_size();
+  const int64_t code_size = pq_->code_size();
   quant::CodeStore store(size(), code_size, 1, code_tag(),
-                         data_->pq.layout().packing);
+                         pq_->layout().packing);
   for (int64_t i = 0; i < size(); ++i) {
-    store.SetCode(i, data_->codes.data() + i * code_size);
-    store.SetSidecar(i, 0, data_->recon_errors[static_cast<std::size_t>(i)]);
+    store.SetCode(i, codes_->data() + i * code_size);
+    store.SetSidecar(i, 0, (*recon_errors_)[static_cast<std::size_t>(i)]);
   }
   return store;
-}
-
-void PqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
-                                        float* out, float* extras) {
-  // Same ADC accumulation as EstimateBatch, but code pointers and trust
-  // features come off the sequential record stream instead of id gathers.
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  const int64_t code_size = data_->pq.code_size();
-  const int64_t stride = code_record_stride();
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      codes[j] = rec;
-      extras[i + j] = quant::RecordSidecars(rec, code_size)[0];
-    }
-    ScorePqChunk(data_->pq, packed_, active_table_, active_qlut_,
-                 active_qscale_, active_qbias_, codes, block, out + i);
-  }
 }
 
 void PqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
@@ -283,28 +296,32 @@ void PqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
   constexpr int kChunk = 16;
   const uint8_t* codes[kChunk];
   RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
-  const int64_t code_size = data_->pq.code_size();
+  const int64_t code_size = pq_->code_size();
   const int64_t stride = code_record_stride();
-  if (packed_) {
-    uint16_t tile[index::kMaxQueryGroup * kChunk];
-    const uint8_t* luts[index::kMaxQueryGroup];
-    const int64_t lut_bytes = data_->pq.fast_scan_lut_bytes();
-    for (int j = 0; j < num_members; ++j) {
-      RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
-      luts[j] = group_qluts_.data() + members[j] * lut_bytes;
+  const float* tables[index::kMaxQueryGroup];
+  const uint8_t* luts[index::kMaxQueryGroup];
+  for (int j = 0; j < num_members; ++j) {
+    RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
+    if (packed_) {
+      luts[j] = group_qluts_.data() + members[j] * pq_->fast_scan_lut_bytes();
+    } else {
+      tables[j] = group_tables_.data() + members[j] * pq_->adc_table_size();
     }
-    for (int i = 0; i < count; i += kChunk) {
-      const int block = std::min(kChunk, count - i);
-      for (int j = 0; j < block; ++j) {
-        const uint8_t* rec = records + (i + j) * stride;
-        codes[j] = rec;
-        const float recon_error = quant::RecordSidecars(rec, code_size)[0];
-        for (int g = 0; g < num_members; ++g) {
-          extras[static_cast<int64_t>(g) * count + i + j] = recon_error;
-        }
+  }
+  for (int i = 0; i < count; i += kChunk) {
+    const int block = std::min(kChunk, count - i);
+    for (int j = 0; j < block; ++j) {
+      const uint8_t* rec = records + (i + j) * stride;
+      codes[j] = rec;
+      const float recon_error = quant::RecordSidecars(rec, code_size)[0];
+      for (int g = 0; g < num_members; ++g) {
+        extras[static_cast<int64_t>(g) * count + i + j] = recon_error;
       }
-      simd::PqAdcFastScanTile(luts, num_members, data_->pq.num_subspaces(),
-                              codes, block, tile);
+    }
+    if (packed_) {
+      uint16_t tile[index::kMaxQueryGroup * kChunk];
+      simd::PqAdcFastScanTile(luts, num_members, pq_->num_subspaces(), codes,
+                              block, tile);
       for (int g = 0; g < num_members; ++g) {
         const float scale =
             group_qscales_[static_cast<std::size_t>(members[g])];
@@ -317,32 +334,14 @@ void PqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
               quant::PqCodebook::DequantizeFastScanSum(sums[j], scale, bias);
         }
       }
-    }
-    SelectQuery(members[num_members - 1]);
-    return;
-  }
-  float tile[index::kMaxQueryGroup * kChunk];
-  const float* tables[index::kMaxQueryGroup];
-  const int64_t table_size = data_->pq.adc_table_size();
-  for (int j = 0; j < num_members; ++j) {
-    RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
-    tables[j] = group_tables_.data() + members[j] * table_size;
-  }
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      codes[j] = rec;
-      const float recon_error = quant::RecordSidecars(rec, code_size)[0];
+    } else {
+      float tile[index::kMaxQueryGroup * kChunk];
+      simd::PqAdcTile(tables, num_members, pq_->num_subspaces(),
+                      pq_->num_centroids(), codes, block, tile);
       for (int g = 0; g < num_members; ++g) {
-        extras[static_cast<int64_t>(g) * count + i + j] = recon_error;
+        std::copy(tile + g * block, tile + (g + 1) * block,
+                  out + static_cast<int64_t>(g) * count + i);
       }
-    }
-    simd::PqAdcTile(tables, num_members, data_->pq.num_subspaces(),
-                    data_->pq.num_centroids(), codes, block, tile);
-    for (int g = 0; g < num_members; ++g) {
-      std::copy(tile + g * block, tile + (g + 1) * block,
-                out + static_cast<int64_t>(g) * count + i);
     }
   }
   SelectQuery(members[num_members - 1]);
@@ -350,19 +349,14 @@ void PqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
 
 RqAdcEstimator::RqAdcEstimator(const RqEstimatorData* data) : data_(data) {
   RESINFER_CHECK(data != nullptr && data->rq.trained());
-  ip_table_.resize(static_cast<std::size_t>(data->rq.ip_table_size()));
-  active_table_ = ip_table_.data();
+  if (data->rq.layout().packed()) {
+    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) *
+                           data->rq.num_stages());
+  }
 }
 
 int64_t RqAdcEstimator::size() const {
   return static_cast<int64_t>(data_->recon_errors.size());
-}
-
-void RqAdcEstimator::BeginQuery(const float* query) {
-  data_->rq.ComputeIpTable(query, ip_table_.data());
-  query_norm_sqr_ =
-      simd::Norm2Sqr(query, static_cast<std::size_t>(data_->rq.dim()));
-  active_table_ = ip_table_.data();
 }
 
 void RqAdcEstimator::SetQueryBatch(const float* queries, int count,
@@ -393,43 +387,60 @@ float RqAdcEstimator::Estimate(int64_t id, float* extra) {
       data_->recon_norms[static_cast<std::size_t>(id)]);
 }
 
-void RqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
-                                   float* extras) {
+void RqAdcEstimator::GatherChunk(const uint8_t* records, const int64_t* ids,
+                                 int i, int n, const uint8_t** codes,
+                                 float* norms, float* extras) {
+  // A record's sidecars are bit-equal to the id-indexed arrays they were
+  // packed from. Packed codebooks unpack each code's nibbles to bytes
+  // (same values, same order as the byte layout).
+  const int64_t code_size = data_->rq.code_size();
+  const int64_t stride = code_record_stride();
+  const int stages = data_->rq.num_stages();
+  for (int j = 0; j < n; ++j) {
+    const uint8_t* code;
+    if (records != nullptr) {
+      code = records + (i + j) * stride;
+      const float* sidecars = quant::RecordSidecars(code, code_size);
+      norms[j] = sidecars[0];
+      extras[j] = sidecars[1];
+    } else {
+      const auto id = static_cast<std::size_t>(ids[i + j]);
+      code = data_->codes.data() + ids[i + j] * code_size;
+      norms[j] = data_->recon_norms[id];
+      extras[j] = data_->recon_errors[id];
+    }
+    if (unpack_scratch_.empty()) {
+      codes[j] = code;
+    } else {
+      uint8_t* row = unpack_scratch_.data() + j * stages;
+      quant::UnpackCodes4(code, stages, row);
+      codes[j] = row;
+    }
+  }
+}
+
+void RqAdcEstimator::Scan(const uint8_t* records, const int64_t* ids,
+                          int count, float* out, float* extras) {
   // The RQ ADC is q·q - 2 q·x̂ + x̂·x̂; the table-lookup sum q·x̂ shares the
   // PQ accumulation kernel, the affine combine mirrors RqCodebook's
-  // expression order so lanes stay bit-identical to Estimate(). Packed
-  // codebooks unpack each chunk's nibbles first (same values, same order).
-  constexpr int kChunk = 16;
+  // expression order so lanes stay bit-identical to Estimate().
   const uint8_t* codes[kChunk];
   float ip[kChunk];
-  const int64_t code_size = data_->rq.code_size();
-  const int stages = data_->rq.num_stages();
-  const bool packed = data_->rq.layout().packed();
-  if (packed) {
-    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) * stages);
-  }
+  float norms[kChunk];
   for (int i = 0; i < count; i += kChunk) {
     const int block = std::min(kChunk, count - i);
+    GatherChunk(records, ids, i, block, codes, norms, extras + i);
+    simd::PqAdcBatch(active_table_, data_->rq.num_stages(),
+                     data_->rq.num_centroids(), codes, block, ip);
     for (int j = 0; j < block; ++j) {
-      const int64_t id = ids[i + j];
-      const uint8_t* code = data_->codes.data() + id * code_size;
-      if (packed) {
-        uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(code, stages, row);
-        codes[j] = row;
-      } else {
-        codes[j] = code;
-      }
-      extras[i + j] = data_->recon_errors[static_cast<std::size_t>(id)];
-    }
-    simd::PqAdcBatch(active_table_, stages, data_->rq.num_centroids(),
-                     codes, block, ip);
-    for (int j = 0; j < block; ++j) {
-      out[i + j] =
-          query_norm_sqr_ - 2.0f * ip[j] +
-          data_->recon_norms[static_cast<std::size_t>(ids[i + j])];
+      out[i + j] = query_norm_sqr_ - 2.0f * ip[j] + norms[j];
     }
   }
+}
+
+void RqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
+                                   float* extras) {
+  Scan(nullptr, ids, count, out, extras);
 }
 
 int64_t RqAdcEstimator::query_state_bytes() const {
@@ -470,42 +481,7 @@ quant::CodeStore RqAdcEstimator::MakeCodeStore() const {
 
 void RqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
                                         float* out, float* extras) {
-  // Mirrors EstimateBatch: shared table-lookup kernel, then the affine
-  // combine in RqCodebook's expression order; the reconstruction norm and
-  // trust feature are the record's sidecar floats (bit-equal to the
-  // id-indexed arrays they were packed from).
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  float ip[kChunk];
-  float norms[kChunk];
-  const int64_t code_size = data_->rq.code_size();
-  const int64_t stride = code_record_stride();
-  const int stages = data_->rq.num_stages();
-  const bool packed = data_->rq.layout().packed();
-  if (packed) {
-    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) * stages);
-  }
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      const float* sidecars = quant::RecordSidecars(rec, code_size);
-      if (packed) {
-        uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(rec, stages, row);
-        codes[j] = row;
-      } else {
-        codes[j] = rec;
-      }
-      norms[j] = sidecars[0];
-      extras[i + j] = sidecars[1];
-    }
-    simd::PqAdcBatch(active_table_, stages, data_->rq.num_centroids(),
-                     codes, block, ip);
-    for (int j = 0; j < block; ++j) {
-      out[i + j] = query_norm_sqr_ - 2.0f * ip[j] + norms[j];
-    }
-  }
+  Scan(records, nullptr, count, out, extras);
 }
 
 void RqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
@@ -513,11 +489,11 @@ void RqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
                                              int num_members, float* out,
                                              float* extras) {
   // Table-lookup stage tiled across the members' IP tables; each member's
-  // affine combine keeps EstimateBatchCodes' expression order, so lanes
-  // stay bit-identical to the per-member path.
-  constexpr int kChunk = 16;
+  // affine combine keeps Scan's expression order, so lanes stay
+  // bit-identical to the per-member path.
   const uint8_t* codes[kChunk];
   float norms[kChunk];
+  float errors[kChunk];
   float tile[index::kMaxQueryGroup * kChunk];
   const float* tables[index::kMaxQueryGroup];
   RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
@@ -526,31 +502,10 @@ void RqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
     RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
     tables[j] = group_tables_.data() + members[j] * table_size;
   }
-  const int64_t code_size = data_->rq.code_size();
-  const int64_t stride = code_record_stride();
-  const int stages = data_->rq.num_stages();
-  const bool packed = data_->rq.layout().packed();
-  if (packed) {
-    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) * stages);
-  }
   for (int i = 0; i < count; i += kChunk) {
     const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      const float* sidecars = quant::RecordSidecars(rec, code_size);
-      if (packed) {
-        uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(rec, stages, row);
-        codes[j] = row;
-      } else {
-        codes[j] = rec;
-      }
-      norms[j] = sidecars[0];
-      for (int g = 0; g < num_members; ++g) {
-        extras[static_cast<int64_t>(g) * count + i + j] = sidecars[1];
-      }
-    }
-    simd::PqAdcTile(tables, num_members, stages,
+    GatherChunk(records, nullptr, i, block, codes, norms, errors);
+    simd::PqAdcTile(tables, num_members, data_->rq.num_stages(),
                     data_->rq.num_centroids(), codes, block, tile);
     for (int g = 0; g < num_members; ++g) {
       const float qnorm = group_norms_[static_cast<std::size_t>(members[g])];
@@ -559,6 +514,8 @@ void RqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
       for (int j = 0; j < block; ++j) {
         row[j] = qnorm - 2.0f * ip[j] + norms[j];
       }
+      std::copy(errors, errors + block,
+                extras + static_cast<int64_t>(g) * count + i);
     }
   }
   SelectQuery(members[num_members - 1]);
@@ -578,28 +535,45 @@ float SqAdcEstimator::Estimate(int64_t id, float* extra) {
   return data_->sq.AdcDistance(query_, data_->codes.data() + id * dim());
 }
 
-void SqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
-                                   float* extras) {
+void SqAdcEstimator::Scan(const uint8_t* records, const int64_t* ids,
+                          int count, float* out, float* extras) {
   RESINFER_DCHECK(query_ != nullptr);
   const int64_t d = dim();
   const std::size_t n = static_cast<std::size_t>(d);
+  const int64_t stride = code_record_stride();
   const float* q = query_;
   const float* vmin = data_->sq.vmin().data();
   const float* step = data_->sq.step().data();
+  // A record's sidecar is bit-equal to the id-indexed error it was packed
+  // from.
+  const auto code = [this, records, ids, stride, d](int pos) {
+    return records != nullptr ? records + pos * stride
+                              : data_->codes.data() + ids[pos] * d;
+  };
+  const auto extra = [this, records, ids, stride, d](int pos) {
+    return records != nullptr
+               ? quant::RecordSidecars(records + pos * stride, d)[0]
+               : data_->recon_errors[static_cast<std::size_t>(ids[pos])];
+  };
   index::ScanBatch4(
-      [this, ids, d](int pos) { return data_->codes.data() + ids[pos] * d; },
+      code,
       [q, vmin, step, n](const uint8_t* const* codes, float* vals) {
         simd::SqAdcL2SqrBatch4(q, codes, vmin, step, n, vals);
       },
-      [this, ids, out, extras](int pos, float val) {
+      [out, extras, &extra](int pos, float val) {
         out[pos] = val;
-        extras[pos] =
-            data_->recon_errors[static_cast<std::size_t>(ids[pos])];
+        extras[pos] = extra(pos);
       },
-      [this, ids, out, extras](int pos) {
-        out[pos] = Estimate(ids[pos], &extras[pos]);
+      [this, q, out, extras, &code, &extra](int pos) {
+        out[pos] = data_->sq.AdcDistance(q, code(pos));
+        extras[pos] = extra(pos);
       },
       count);
+}
+
+void SqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
+                                   float* extras) {
+  Scan(nullptr, ids, count, out, extras);
 }
 
 std::string SqAdcEstimator::code_tag() const {
@@ -631,29 +605,7 @@ quant::CodeStore SqAdcEstimator::MakeCodeStore() const {
 
 void SqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
                                         float* out, float* extras) {
-  RESINFER_DCHECK(query_ != nullptr);
-  const int64_t d = dim();
-  const std::size_t n = static_cast<std::size_t>(d);
-  const int64_t stride = code_record_stride();
-  const float* q = query_;
-  const float* vmin = data_->sq.vmin().data();
-  const float* step = data_->sq.step().data();
-  index::ScanBatch4(
-      [records, stride](int pos) { return records + pos * stride; },
-      [q, vmin, step, n](const uint8_t* const* codes, float* vals) {
-        simd::SqAdcL2SqrBatch4(q, codes, vmin, step, n, vals);
-      },
-      [records, stride, d, out, extras](int pos, float val) {
-        out[pos] = val;
-        extras[pos] =
-            quant::RecordSidecars(records + pos * stride, d)[0];
-      },
-      [this, records, stride, d, out, extras](int pos) {
-        const uint8_t* rec = records + pos * stride;
-        extras[pos] = quant::RecordSidecars(rec, d)[0];
-        out[pos] = data_->sq.AdcDistance(query_, rec);
-      },
-      count);
+  Scan(records, nullptr, count, out, extras);
 }
 
 // --- Training + computer ----------------------------------------------------
@@ -695,40 +647,52 @@ DdcAnyComputer::DdcAnyComputer(
 }
 
 void DdcAnyComputer::BeginQuery(const float* query) {
-  query_ = query;
-  estimator_->BeginQuery(query);
+  SetQueryBatch(query, 1, dim());
+  SelectQuery(0);
 }
 
-index::EstimateResult DdcAnyComputer::EstimateWithThreshold(int64_t id,
-                                                            float tau) {
-  ++stats_.candidates;
-  float extra = 0.0f;
-  const float approx = estimator_->Estimate(id, &extra);
-
-  if (std::isfinite(tau) &&
-      corrector_->PredictPrunable(approx, tau, extra)) {
-    ++stats_.pruned;
-    return {true, approx};
-  }
-  ++stats_.exact_computations;
-  stats_.dims_scanned += dim();
-  return {false, simd::L2Sqr(query_, base_->Row(id),
-                             static_cast<std::size_t>(dim()))};
+void DdcAnyComputer::SetQueryBatch(const float* queries, int count,
+                                   int64_t stride) {
+  index::DistanceComputer::SetQueryBatch(queries, count, stride);
+  estimator_->SetQueryBatch(queries, count, stride);
 }
 
-void DdcAnyComputer::EstimateBatch(const int64_t* ids, int count, float tau,
-                                   index::EstimateResult* out) {
+void DdcAnyComputer::SelectQuery(int g) {
+  query_ = GroupQuery(g);
+  estimator_->SelectQuery(g);
+}
+
+void DdcAnyComputer::Scan(const uint8_t* codes, const int64_t* ids,
+                          int count, float tau, index::EstimateResult* out) {
+  const int64_t stride = estimator_->code_record_stride();
   index::EstimatePruneRefine(
       query_, static_cast<std::size_t>(dim()),
       [this](int64_t id) { return base_->Row(id); },
-      [this](const int64_t* chunk, int /*start*/, int n, float* approx,
-             float* extras) {
-        estimator_->EstimateBatch(chunk, n, approx, extras);
+      [this, codes, stride](const int64_t* chunk, int start, int n,
+                            float* approx, float* extras) {
+        if (codes != nullptr) {
+          estimator_->EstimateBatchCodes(codes + start * stride, n, approx,
+                                         extras);
+        } else {
+          estimator_->EstimateBatch(chunk, n, approx, extras);
+        }
       },
       [this, tau](float approx, float extra) {
         return corrector_->PredictPrunable(approx, tau, extra);
       },
       std::isfinite(tau), ids, count, stats_, out);
+}
+
+index::EstimateResult DdcAnyComputer::EstimateWithThreshold(int64_t id,
+                                                            float tau) {
+  index::EstimateResult out;
+  Scan(nullptr, &id, 1, tau, &out);
+  return out;
+}
+
+void DdcAnyComputer::EstimateBatch(const int64_t* ids, int count, float tau,
+                                   index::EstimateResult* out) {
+  Scan(nullptr, ids, count, tau, out);
 }
 
 std::string DdcAnyComputer::code_tag() const {
@@ -743,23 +707,9 @@ void DdcAnyComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  const int64_t stride = estimator_->code_record_stride();
-  if (stride <= 0) {  // estimator without a code-resident form: gather
-    EstimateBatch(ids, count, tau, out);
-    return;
-  }
-  index::EstimatePruneRefine(
-      query_, static_cast<std::size_t>(dim()),
-      [this](int64_t id) { return base_->Row(id); },
-      [this, codes, stride](const int64_t* /*chunk*/, int start, int n,
-                            float* approx, float* extras) {
-        estimator_->EstimateBatchCodes(codes + start * stride, n, approx,
-                                       extras);
-      },
-      [this, tau](float approx, float extra) {
-        return corrector_->PredictPrunable(approx, tau, extra);
-      },
-      std::isfinite(tau), ids, count, stats_, out);
+  // Estimators without a code-resident form gather by id.
+  Scan(estimator_->code_record_stride() > 0 ? codes : nullptr, ids, count,
+       tau, out);
 }
 
 bool DdcAnyComputer::group_scan_tiles_blocks() const {
@@ -770,17 +720,6 @@ bool DdcAnyComputer::group_scan_tiles_blocks() const {
   const int64_t per_member = estimator_->query_state_bytes();
   return per_member > 0 &&
          per_member * index::kMaxQueryGroup <= kGroupStateCacheBudget;
-}
-
-void DdcAnyComputer::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  index::DistanceComputer::SetQueryBatch(queries, count, stride);
-  estimator_->SetQueryBatch(queries, count, stride);
-}
-
-void DdcAnyComputer::SelectQuery(int g) {
-  query_ = GroupQuery(g);
-  estimator_->SelectQuery(g);
 }
 
 void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
@@ -796,13 +735,12 @@ void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
     return;
   }
   RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
-  // EstimatePruneRefine's chunk structure (see EstimateBatchCodes), with
-  // the approximation stage evaluated for the whole group per chunk and
-  // the per-member prune + exact-refine passes unchanged — each member's
+  // EstimatePruneRefine's chunk structure (see Scan), with the
+  // approximation stage evaluated for the whole group per chunk and the
+  // per-member prune + exact-refine passes unchanged — each member's
   // results and stats are bit-identical to its sequential call.
   float approx[index::kMaxQueryGroup * index::kRefineChunk];
   float extras[index::kMaxQueryGroup * index::kRefineChunk];
-  int survivors[index::kRefineChunk];
   const std::size_t d = static_cast<std::size_t>(dim());
 
   for (int i = 0; i < count; i += index::kRefineChunk) {
@@ -811,30 +749,17 @@ void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
     estimator_->EstimateBatchCodesGroup(codes + i * stride, block, members,
                                         num_members, approx, extras);
     for (int g = 0; g < num_members; ++g) {
-      stats_.candidates += block;
       const float tau = taus[g];
-      const bool tau_finite = std::isfinite(tau);
-      const float* member_approx = approx + g * block;
-      const float* member_extras = extras + g * block;
-      index::EstimateResult* member_out =
-          out + static_cast<int64_t>(g) * count;
-      int num_survivors = 0;
-      for (int j = 0; j < block; ++j) {
-        if (tau_finite && corrector_->PredictPrunable(member_approx[j], tau,
-                                                      member_extras[j])) {
-          ++stats_.pruned;
-          member_out[i + j] = {true, member_approx[j]};
-        } else {
-          survivors[num_survivors++] = i + j;
-        }
-      }
-      stats_.exact_computations += num_survivors;
-      stats_.dims_scanned +=
-          static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
-      index::RefineExactL2(
+      stats_.candidates += block;
+      index::PruneRefineChunk(
           GroupQuery(members[g]), d,
-          [this](int64_t id) { return base_->Row(id); }, ids, survivors,
-          num_survivors, member_out);
+          [this](int64_t id) { return base_->Row(id); },
+          [this, tau](float a, float extra) {
+            return corrector_->PredictPrunable(a, tau, extra);
+          },
+          std::isfinite(tau), ids + i, block, approx + g * block,
+          extras + g * block, stats_,
+          out + static_cast<int64_t>(g) * count + i);
     }
   }
   SelectQuery(members[num_members - 1]);
@@ -842,8 +767,6 @@ void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
 
 float DdcAnyComputer::ExactDistance(int64_t id) {
   RESINFER_DCHECK(query_ != nullptr);
-  ++stats_.exact_computations;
-  stats_.dims_scanned += dim();
   return simd::L2Sqr(query_, base_->Row(id),
                      static_cast<std::size_t>(dim()));
 }

@@ -1,17 +1,18 @@
 // DDCany — the §V generality claim as a reusable component.
 //
 // The paper's data-driven correction "makes no assumptions about the source
-// of these approximate distances". DdcOpq demonstrates that for OPQ;
-// this header turns the pattern into an explicit plug-in point: any type
-// implementing ApproxDistanceEstimator (one BeginQuery + one Estimate) gets
+// of these approximate distances". This header turns that into an explicit
+// plug-in point: any type implementing ApproxDistanceEstimator (per-query
+// state + one Estimate) gets
 //   * corrector training via the shared labeled-pair pipeline
 //     (TrainAnyCorrector), and
 //   * a full DistanceComputer (DdcAnyComputer) that prunes with the learned
 //     boundary and falls back to exact distances, usable inside IVF/HNSW.
 //
-// Three estimator backends ship here — plain PQ (the paper's §V example
-// verbatim), Residual Quantization, and 8-bit Scalar Quantization — all
-// corrected by the *same* LinearCorrector code that serves DDCpca/DDCopq.
+// Three estimator backends ship here — PQ (the paper's §V example
+// verbatim; with an OPQ rotation it is DDCopq, core/ddc_opq.h), Residual
+// Quantization, and 8-bit Scalar Quantization — all corrected by the *same*
+// LinearCorrector code that serves DDCpca.
 #ifndef RESINFER_CORE_DDC_ANY_H_
 #define RESINFER_CORE_DDC_ANY_H_
 
@@ -25,6 +26,7 @@
 #include "index/distance_computer.h"
 #include "linalg/matrix.h"
 #include "quant/code_store.h"
+#include "quant/opq.h"
 #include "quant/pq.h"
 #include "quant/rq.h"
 #include "quant/sq.h"
@@ -32,10 +34,10 @@
 namespace resinfer::core {
 
 // The minimal contract a distance-estimation source must satisfy to plug
-// into the data-driven correction. Implementations are stateful per query
-// (BeginQuery builds lookup tables); use one instance per search thread.
-// Shared trained artifacts (codebooks, codes) live outside the estimator
-// and must outlive it.
+// into the data-driven correction: per-query state (SetQueryBatch +
+// SelectQuery) and one Estimate. Implementations are stateful per query;
+// use one instance per search thread. Shared trained artifacts (codebooks,
+// codes) live outside the estimator and must outlive it.
 class ApproxDistanceEstimator {
  public:
   virtual ~ApproxDistanceEstimator() = default;
@@ -45,8 +47,19 @@ class ApproxDistanceEstimator {
   virtual int64_t size() const = 0;
 
   // Prepares per-query state. `query` has dim() floats in the ORIGINAL
-  // space; estimators apply their own transforms internally.
-  virtual void BeginQuery(const float* query) = 0;
+  // space; estimators apply their own transforms internally. A single
+  // query is a group of one.
+  void BeginQuery(const float* query) {
+    SetQueryBatch(query, 1, dim());
+    SelectQuery(0);
+  }
+
+  // Declares a group of `count` queries (member g at queries + g * stride
+  // floats, count <= index::kMaxQueryGroup) and builds every member's state
+  // (ADC tables etc.) once; SelectQuery(g) makes member g current, after
+  // which the estimate calls below serve it. Overrides call the base first.
+  virtual void SetQueryBatch(const float* queries, int count, int64_t stride);
+  virtual void SelectQuery(int g) = 0;
 
   // Approximate distance dis' for candidate `id`. When the estimator
   // carries a per-point trust feature (e.g. reconstruction error), it is
@@ -69,16 +82,6 @@ class ApproxDistanceEstimator {
   // Whether Estimate fills a meaningful third feature; decides the
   // corrector's feature count at training time.
   virtual bool has_extra_feature() const { return false; }
-
-  // --- Query-group form (the multi-query serving path) --------------------
-  // Mirrors DistanceComputer's group API: SetQueryBatch declares a group of
-  // `count` queries (member g at queries + g * stride floats, count <=
-  // index::kMaxQueryGroup); SelectQuery(g) activates one member. The
-  // defaults rebuild state through BeginQuery on every switch; the
-  // quantizer backends override to compute all members' ADC tables once
-  // per group and swap a pointer on select.
-  virtual void SetQueryBatch(const float* queries, int count, int64_t stride);
-  virtual void SelectQuery(int g);
 
   // Group code-resident evaluation: equivalent to, for each j,
   //   SelectQuery(members[j]);
@@ -168,19 +171,29 @@ class PqAdcEstimator : public ApproxDistanceEstimator {
   // `data` must outlive the estimator.
   //
   // Packed 4-bit codebooks (pq.layout().packed()) take the fast-scan tier:
-  // BeginQuery additionally quantizes the ADC table to a register-resident
-  // u8 LUT (PqCodebook::QuantizeAdcTable) and every estimate path
-  // dequantizes the exact integer LUT sum — within the documented
-  // m * scale / 2 bound of the float ADC value, with survivors still
-  // exactly rescored by the prune/refine epilogue. All packed paths
+  // SetQueryBatch additionally quantizes each ADC table to a
+  // register-resident u8 LUT (PqCodebook::QuantizeAdcTable) and every
+  // estimate path dequantizes the exact integer LUT sum — within the
+  // documented m * scale / 2 bound of the float ADC value, with survivors
+  // still exactly rescored by the prune/refine epilogue. All packed paths
   // (sequential, batch, code-resident, grouped) share the same sum +
   // dequantization arithmetic, so they stay bit-identical to each other.
   explicit PqAdcEstimator(const PqEstimatorData* data);
 
-  std::string name() const override { return "pq-adc"; }
-  int64_t dim() const override { return data_->pq.dim(); }
+  // OPQ form (DDCopq, §V-B): each query is rotated by `opq` before its ADC
+  // table is built over opq->codebook(). `codes` (n * code_size) and
+  // `recon_errors` (n) are the rotated-space codes and per-point errors of
+  // DdcOpqArtifacts, read in place; all three must outlive the estimator.
+  // Named "opq"; records are tagged "ddc-opq".
+  PqAdcEstimator(const quant::OpqModel* opq,
+                 const std::vector<uint8_t>* codes,
+                 const std::vector<float>* recon_errors);
+
+  std::string name() const override {
+    return opq_ != nullptr ? "opq" : "pq-adc";
+  }
+  int64_t dim() const override { return pq_->dim(); }
   int64_t size() const override;
-  void BeginQuery(const float* query) override;
   float Estimate(int64_t id, float* extra) override;
   void EstimateBatch(const int64_t* ids, int count, float* out,
                      float* extras) override;
@@ -193,8 +206,9 @@ class PqAdcEstimator : public ApproxDistanceEstimator {
   void EstimateBatchCodes(const uint8_t* records, int count, float* out,
                           float* extras) override;
 
-  // Group form: one ADC table per member, built once; the group scan
-  // streams each record chunk through simd::PqAdcTile for all members.
+  // One ADC table (and, packed, one quantized LUT) per member, built once
+  // per group; the group scan streams each record chunk through the tiled
+  // kernels for all members.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -204,22 +218,35 @@ class PqAdcEstimator : public ApproxDistanceEstimator {
   int64_t query_state_bytes() const override;
 
  private:
-  const PqEstimatorData* data_;
-  std::vector<float> adc_table_;
-  // The table Estimate*/EstimateBatch* read: adc_table_ after BeginQuery,
-  // a row of group_tables_ after SelectQuery.
-  const float* active_table_ = nullptr;
+  PqAdcEstimator(const quant::PqCodebook* pq, const quant::OpqModel* opq,
+                 const std::vector<uint8_t>* codes,
+                 const std::vector<float>* recon_errors);
+
+  // The one estimate loop behind EstimateBatch and EstimateBatchCodes:
+  // codes and trust features stream from `records` when given, else they
+  // are read by id.
+  void Scan(const uint8_t* records, const int64_t* ids, int count,
+            float* out, float* extras);
+  // The selected member's estimates for codes[0, n), n <= 32: the one
+  // routing point between the float-table gather kernel and the packed
+  // fast-scan tier, so every path shares one chunk arithmetic.
+  void ScoreChunk(const uint8_t* const* codes, int n, float* out) const;
+
+  const quant::PqCodebook* pq_;
+  const quant::OpqModel* opq_;  // null: queries are scored unrotated
+  const std::vector<uint8_t>* codes_;
+  const std::vector<float>* recon_errors_;
+  bool packed_;
+  std::vector<float> rotated_;       // OPQ-rotated query scratch
   std::vector<float> group_tables_;  // group_count_ x adc_table_size
   // Fast-scan state (packed layout only): quantized LUT + affine map per
-  // query, with the group variants mirroring group_tables_. The active_*
-  // trio swaps on SelectQuery exactly like active_table_.
-  bool packed_ = false;
-  std::vector<uint8_t> qlut_;
-  float qscale_ = 0.0f, qbias_ = 0.0f;
-  const uint8_t* active_qlut_ = nullptr;
-  float active_qscale_ = 0.0f, active_qbias_ = 0.0f;
+  // member.
   std::vector<uint8_t> group_qluts_;  // group_count_ x fast_scan_lut_bytes
   std::vector<float> group_qscales_, group_qbiases_;
+  // The selected member's state.
+  const float* active_table_ = nullptr;
+  const uint8_t* active_qlut_ = nullptr;
+  float active_qscale_ = 0.0f, active_qbias_ = 0.0f;
   // Lazily built (content fingerprint is O(n)); estimators are per-thread.
   mutable std::string code_tag_;
 };
@@ -231,7 +258,6 @@ class RqAdcEstimator : public ApproxDistanceEstimator {
   std::string name() const override { return "rq-adc"; }
   int64_t dim() const override { return data_->rq.dim(); }
   int64_t size() const override;
-  void BeginQuery(const float* query) override;
   float Estimate(int64_t id, float* extra) override;
   void EstimateBatch(const int64_t* ids, int count, float* out,
                      float* extras) override;
@@ -244,8 +270,9 @@ class RqAdcEstimator : public ApproxDistanceEstimator {
   void EstimateBatchCodes(const uint8_t* records, int count, float* out,
                           float* extras) override;
 
-  // Group form: per-member IP tables + query norms; the group scan tiles
-  // the table-lookup stage and applies each member's affine combine.
+  // Per-member IP tables + query norms, built once per group; the group
+  // scan tiles the table-lookup stage and applies each member's affine
+  // combine.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -255,16 +282,29 @@ class RqAdcEstimator : public ApproxDistanceEstimator {
   int64_t query_state_bytes() const override;
 
  private:
+  static constexpr int kChunk = 16;  // candidates per kernel call
+
+  // The one estimate loop behind EstimateBatch and EstimateBatchCodes:
+  // codes, reconstruction norms and trust features stream from `records`
+  // when given, else they are read by id.
+  void Scan(const uint8_t* records, const int64_t* ids, int count,
+            float* out, float* extras);
+  // Candidates [i, i + n), n <= kChunk, of a scan: kernel-ready code
+  // pointers, reconstruction norms and trust features (norms[j],
+  // extras[j]), from `records` when given, else by id.
+  void GatherChunk(const uint8_t* records, const int64_t* ids, int i, int n,
+                   const uint8_t** codes, float* norms, float* extras);
+
   const RqEstimatorData* data_;
-  std::vector<float> ip_table_;
-  float query_norm_sqr_ = 0.0f;
-  const float* active_table_ = nullptr;
   std::vector<float> group_tables_;  // group_count_ x ip_table_size
   std::vector<float> group_norms_;   // ||q||^2 per member
-  // Packed-layout scratch: the batch paths unpack each chunk's nibble
-  // codes to bytes here before the shared table-lookup kernel (kChunk x
-  // num_stages bytes). Values and summation order match the byte path, so
-  // the unpack is invisible to results.
+  // The selected member's state.
+  const float* active_table_ = nullptr;
+  float query_norm_sqr_ = 0.0f;
+  // Packed-layout scratch (empty for byte codebooks): the batch paths
+  // unpack each chunk's nibble codes to bytes here before the shared
+  // table-lookup kernel (kChunk x num_stages bytes). Values and summation
+  // order match the byte path, so the unpack is invisible to results.
   std::vector<uint8_t> unpack_scratch_;
   mutable std::string code_tag_;
 };
@@ -276,7 +316,7 @@ class SqAdcEstimator : public ApproxDistanceEstimator {
   std::string name() const override { return "sq8-adc"; }
   int64_t dim() const override { return data_->sq.dim(); }
   int64_t size() const override;
-  void BeginQuery(const float* query) override { query_ = query; }
+  void SelectQuery(int g) override { query_ = GroupQuery(g); }
   float Estimate(int64_t id, float* extra) override;
   void EstimateBatch(const int64_t* ids, int count, float* out,
                      float* extras) override;
@@ -290,15 +330,21 @@ class SqAdcEstimator : public ApproxDistanceEstimator {
                           float* extras) override;
 
  private:
+  // The one estimate loop behind EstimateBatch and EstimateBatchCodes:
+  // codes and trust features stream from `records` when given, else they
+  // are read by id.
+  void Scan(const uint8_t* records, const int64_t* ids, int count,
+            float* out, float* extras);
+
   const SqEstimatorData* data_;
-  const float* query_ = nullptr;
+  const float* query_ = nullptr;  // the selected member
   mutable std::string code_tag_;
 };
 
 // --- Training + the generic computer --------------------------------------
 
 // Trains a LinearCorrector for `estimator` on labeled pairs harvested from
-// (base, train_queries) — the exact pipeline DDCpca/DDCopq use, with the
+// (base, train_queries) — the exact pipeline DDCpca uses, with the
 // feature count chosen from estimator.has_extra_feature(). The estimator's
 // per-query state is driven internally; it is left positioned at the last
 // training query on return.
@@ -333,9 +379,10 @@ class DdcAnyComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: the estimator evaluates each record chunk for the whole
-  // group (tiled ADC where the backend supports it); pruning and exact
-  // refinement then run per member against that member's tau and query.
+  // The estimator keeps every member's state; a single query is a group of
+  // one. The group scan evaluates each record chunk for the whole group
+  // (tiled ADC where the backend supports it); pruning and exact refinement
+  // then run per member against that member's tau and query.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -353,10 +400,16 @@ class DdcAnyComputer : public index::DistanceComputer {
   float ApproximateDistance(int64_t id);
 
  private:
+  // The one estimate loop behind EstimateWithThreshold, EstimateBatch and
+  // EstimateBatchCodes: approximations come from the estimator's
+  // code-resident form when `codes` is given, else from its id gather.
+  void Scan(const uint8_t* codes, const int64_t* ids, int count, float tau,
+            index::EstimateResult* out);
+
   const linalg::Matrix* base_;
   std::unique_ptr<ApproxDistanceEstimator> estimator_;
   const LinearCorrector* corrector_;
-  const float* query_ = nullptr;
+  const float* query_ = nullptr;  // the selected member
 };
 
 }  // namespace resinfer::core

@@ -6,17 +6,20 @@
 // the paper) the distance from the point to its quantized centroid — a
 // per-point reconstruction error that tells the classifier how much to
 // trust the ADC estimate for that particular point.
+//
+// At query time DDCopq is the generic DdcAnyComputer (core/ddc_any.h) over
+// a PqAdcEstimator that rotates each query by the OPQ model first; this
+// header holds what is specific to it: training and the artifacts.
 #ifndef RESINFER_CORE_DDC_OPQ_H_
 #define RESINFER_CORE_DDC_OPQ_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "core/ddc_any.h"
 #include "core/linear_corrector.h"
 #include "core/training_data.h"
-#include "index/distance_computer.h"
 #include "linalg/matrix.h"
 #include "quant/opq.h"
 
@@ -32,7 +35,7 @@ struct DdcOpqOptions {
 // largest divisor of `dim` at most dim/4, floor 1.
 int DefaultOpqSubspaces(int64_t dim);
 
-// Trained per-dataset state shared by DdcOpqComputer instances.
+// Trained per-dataset state shared by every DDCopq computer.
 struct DdcOpqArtifacts {
   quant::OpqModel opq;
   std::vector<uint8_t> codes;       // n * code_size
@@ -52,65 +55,12 @@ DdcOpqArtifacts TrainDdcOpq(const linalg::Matrix& base,
                             const linalg::Matrix& train_queries,
                             const DdcOpqOptions& options = DdcOpqOptions());
 
-class DdcOpqComputer : public index::DistanceComputer {
- public:
-  // `base` is the ORIGINAL (un-rotated) data — exact fallbacks are computed
-  // there; ADC estimates live in the OPQ-rotated space. Both must outlive
-  // the computer.
-  DdcOpqComputer(const linalg::Matrix* base, const DdcOpqArtifacts* artifacts);
-
-  int64_t dim() const override { return base_->cols(); }
-  int64_t size() const override { return base_->rows(); }
-  std::string name() const override { return "ddc-opq"; }
-
-  void BeginQuery(const float* query) override;
-  index::EstimateResult EstimateWithThreshold(int64_t id,
-                                              float tau) override;
-  void EstimateBatch(const int64_t* ids, int count, float tau,
-                     index::EstimateResult* out) override;
-  // Code-resident form; record = [opq code | recon_error].
-  std::string code_tag() const override;
-  quant::CodeStore MakeCodeStore() const override;
-  void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
-                          int count, float tau,
-                          index::EstimateResult* out) override;
-  // Group form: rotated queries + ADC tables for every member built once
-  // per SetQueryBatch; SelectQuery swaps pointers.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
-  float ExactDistance(int64_t id) override;
-
-  // Raw ADC distance for the current query (no correction).
-  float ApproximateDistance(int64_t id) const;
-
- private:
-  const linalg::Matrix* base_;
-  const DdcOpqArtifacts* artifacts_;
-
-  const float* query_ = nullptr;      // original space, for exact fallback
-  std::vector<float> rotated_query_;  // OPQ space
-  std::vector<float> adc_table_;
-  // The table the estimate paths read: adc_table_ after BeginQuery, a row
-  // of group_tables_ after SelectQuery. The rotated query is consumed
-  // immediately by ComputeAdcTable, so group members share rotated_query_
-  // as scratch instead of keeping per-member copies.
-  const float* active_adc_table_ = nullptr;
-  std::vector<float> group_tables_;  // group x adc_table_size
-  // Fast-scan state (packed 4-bit OPQ codebooks): per-query quantized LUT
-  // + affine map, swapped by SelectQuery like active_adc_table_. Estimates
-  // then dequantize exact integer LUT sums (within the documented
-  // m * scale / 2 bound); survivors are exactly rescored as usual.
-  bool packed_ = false;
-  std::vector<uint8_t> qlut_;
-  float qscale_ = 0.0f, qbias_ = 0.0f;
-  const uint8_t* active_qlut_ = nullptr;
-  float active_qscale_ = 0.0f, active_qbias_ = 0.0f;
-  std::vector<uint8_t> group_qluts_;
-  std::vector<float> group_qscales_, group_qbiases_;
-  // Lazily built (content fingerprint is O(n)); computers are per-thread.
-  mutable std::string code_tag_;
-};
+// The DDCopq computer: exact fallbacks against `base`, the ORIGINAL
+// (un-rotated) data; ADC estimates in the OPQ-rotated space, read from
+// `artifacts` in place. Both must outlive the computer. Named "ddc-opq";
+// its code records are [opq code | recon_error].
+std::unique_ptr<DdcAnyComputer> MakeDdcOpqComputer(
+    const linalg::Matrix* base, const DdcOpqArtifacts* artifacts);
 
 }  // namespace resinfer::core
 

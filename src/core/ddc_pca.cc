@@ -75,13 +75,11 @@ DdcPcaComputer::DdcPcaComputer(const linalg::PcaModel* pca,
                  artifacts->correctors.size());
   RESINFER_CHECK(!artifacts->stage_dims.empty());
   RESINFER_CHECK(artifacts->stage_dims.back() < pca->dim());
-  rotated_query_.resize(pca->dim());
-  active_rotated_query_ = rotated_query_.data();
 }
 
 void DdcPcaComputer::BeginQuery(const float* query) {
-  pca_->Transform(query, rotated_query_.data());
-  active_rotated_query_ = rotated_query_.data();
+  SetQueryBatch(query, 1, dim());
+  SelectQuery(0);
 }
 
 void DdcPcaComputer::SetQueryBatch(const float* queries, int count,

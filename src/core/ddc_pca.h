@@ -73,8 +73,8 @@ class DdcPcaComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: every member's PCA-rotated query built once per
-  // SetQueryBatch; SelectQuery swaps a pointer.
+  // Every member's PCA-rotated query is built once per SetQueryBatch (a
+  // single query is a group of one); SelectQuery swaps a pointer.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -97,11 +97,9 @@ class DdcPcaComputer : public index::DistanceComputer {
   const linalg::Matrix* rotated_base_;
   const DdcPcaArtifacts* artifacts_;
 
-  std::vector<float> rotated_query_;
-  // The rotated query the estimate paths read: rotated_query_ after
-  // BeginQuery, a row of group_rotated_ after SelectQuery.
-  const float* active_rotated_query_ = nullptr;
   std::vector<float> group_rotated_;  // group x dim
+  // The selected member's rotated query.
+  const float* active_rotated_query_ = nullptr;
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;
 };

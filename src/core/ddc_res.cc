@@ -30,34 +30,16 @@ DdcResComputer::DdcResComputer(const linalg::PcaModel* pca,
     norms_sqr_[i] = simd::Norm2Sqr(rotated_base_->Row(i), d);
   }
   error_model_ = ResidualErrorModel(pca_->variances());
-  rotated_query_.resize(pca_->dim());
   for (int64_t d = options_.init_dim; d < pca_->dim();
        d += options_.delta_dim) {
     stage_dims_.push_back(d);
     if (!options_.incremental) break;  // Algorithm 1: single test
   }
-  stage_bounds_.resize(stage_dims_.size());
-  active_rotated_query_ = rotated_query_.data();
-  active_stage_bounds_ = stage_bounds_.data();
-}
-
-void DdcResComputer::BuildQueryState(const float* query, float* rotated,
-                                     float* bounds, float* norm_sqr) {
-  pca_->Transform(query, rotated);
-  *norm_sqr =
-      simd::Norm2Sqr(rotated, static_cast<std::size_t>(pca_->dim()));
-  error_model_.BeginQuery(rotated);
-  // Hoist the per-stage sigma square roots out of the candidate loop.
-  for (std::size_t s = 0; s < stage_dims_.size(); ++s) {
-    bounds[s] = multiplier_ * error_model_.Sigma(stage_dims_[s]);
-  }
 }
 
 void DdcResComputer::BeginQuery(const float* query) {
-  BuildQueryState(query, rotated_query_.data(), stage_bounds_.data(),
-                  &query_norm_sqr_);
-  active_rotated_query_ = rotated_query_.data();
-  active_stage_bounds_ = stage_bounds_.data();
+  SetQueryBatch(query, 1, dim());
+  SelectQuery(0);
 }
 
 void DdcResComputer::SetQueryBatch(const float* queries, int count,
@@ -69,9 +51,16 @@ void DdcResComputer::SetQueryBatch(const float* queries, int count,
   group_bounds_.resize(static_cast<std::size_t>(count * num_stages));
   group_norms_.resize(static_cast<std::size_t>(count));
   for (int g = 0; g < count; ++g) {
-    BuildQueryState(GroupQuery(g), group_rotated_.data() + g * d,
-                    group_bounds_.data() + g * num_stages,
-                    &group_norms_[static_cast<std::size_t>(g)]);
+    float* rotated = group_rotated_.data() + g * d;
+    float* bounds = group_bounds_.data() + g * num_stages;
+    pca_->Transform(GroupQuery(g), rotated);
+    group_norms_[static_cast<std::size_t>(g)] =
+        simd::Norm2Sqr(rotated, static_cast<std::size_t>(d));
+    error_model_.BeginQuery(rotated);
+    // Hoist the per-stage sigma square roots out of the candidate loop.
+    for (int64_t s = 0; s < num_stages; ++s) {
+      bounds[s] = multiplier_ * error_model_.Sigma(stage_dims_[s]);
+    }
   }
 }
 

@@ -68,8 +68,9 @@ class DdcResComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: rotated queries, query norms, and per-stage bounds for
-  // every member built once per SetQueryBatch; SelectQuery swaps pointers.
+  // Rotated queries, query norms, and per-stage bounds for every member
+  // are built once per SetQueryBatch (a single query is a group of one);
+  // SelectQuery swaps pointers.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -102,24 +103,16 @@ class DdcResComputer : public index::DistanceComputer {
   ResidualErrorModel error_model_;
   std::vector<int64_t> stage_dims_;  // init, init+delta, ... (< D)
 
-  // Builds one query's rotated form, squared norm, and per-stage bounds —
-  // the shared body of BeginQuery and SetQueryBatch, so group members are
-  // bit-identical to single-query preparation.
-  void BuildQueryState(const float* query, float* rotated, float* bounds,
-                       float* norm_sqr);
-
-  // Per-query state. stage_bounds_[s] = multiplier * sigma(stage_dims_[s]),
-  // precomputed once per query so the per-candidate loop is sqrt-free.
-  std::vector<float> rotated_query_;
-  std::vector<float> stage_bounds_;
-  float query_norm_sqr_ = 0.0f;
-  // What the estimate paths read: the single-query buffers after
-  // BeginQuery, rows of the group buffers after SelectQuery.
-  const float* active_rotated_query_ = nullptr;
-  const float* active_stage_bounds_ = nullptr;
+  // Per-member state. A member's bounds[s] = multiplier *
+  // sigma(stage_dims_[s]), precomputed once per query so the per-candidate
+  // loop is sqrt-free.
   std::vector<float> group_rotated_;  // group x dim
   std::vector<float> group_bounds_;   // group x stage_dims_.size()
   std::vector<float> group_norms_;    // ||q||^2 per member
+  // The selected member's state.
+  const float* active_rotated_query_ = nullptr;
+  const float* active_stage_bounds_ = nullptr;
+  float query_norm_sqr_ = 0.0f;
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;
 };

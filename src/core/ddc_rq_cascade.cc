@@ -129,16 +129,11 @@ DdcRqCascadeComputer::DdcRqCascadeComputer(
   RESINFER_CHECK(artifacts->rq.trained());
   RESINFER_CHECK(artifacts->rq.dim() == base->cols());
   RESINFER_CHECK(artifacts->correctors.size() == artifacts->levels.size());
-  ip_table_.resize(static_cast<std::size_t>(artifacts->rq.ip_table_size()));
-  active_ip_table_ = ip_table_.data();
 }
 
 void DdcRqCascadeComputer::BeginQuery(const float* query) {
-  query_ = query;
-  artifacts_->rq.ComputeIpTable(query, ip_table_.data());
-  query_norm_sqr_ =
-      simd::Norm2Sqr(query, static_cast<std::size_t>(base_->cols()));
-  active_ip_table_ = ip_table_.data();
+  SetQueryBatch(query, 1, dim());
+  SelectQuery(0);
 }
 
 void DdcRqCascadeComputer::SetQueryBatch(const float* queries, int count,
@@ -163,32 +158,24 @@ void DdcRqCascadeComputer::SelectQuery(int g) {
   query_norm_sqr_ = group_norms_[static_cast<std::size_t>(g)];
 }
 
-index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
-    int64_t id, float tau) {
+index::EstimateResult DdcRqCascadeComputer::Cascade(
+    const uint8_t* code, const float* norms, const float* errors, int64_t id,
+    float tau) {
   ++stats_.candidates;
-  const quant::RqCodebook& rq = artifacts_->rq;
-  const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
-  const uint8_t* code = artifacts_->codes.data() + id * rq.code_size();
-
   if (std::isfinite(tau)) {
+    const quant::RqCodebook& rq = artifacts_->rq;
+    const std::size_t num_levels = artifacts_->levels.size();
     float ip = 0.0f;
     int stage = 0;
-    for (int64_t l = 0; l < num_levels; ++l) {
-      const int stages = artifacts_->levels[static_cast<std::size_t>(l)];
-      for (; stage < stages; ++stage) {
+    for (std::size_t l = 0; l < num_levels; ++l) {
+      for (; stage < artifacts_->levels[l]; ++stage) {
         ip += active_ip_table_[static_cast<std::size_t>(
             static_cast<int64_t>(stage) * rq.num_centroids() +
             rq.CodeAt(code, stage))];
         ++stage_lookups_;
       }
-      const float approx =
-          query_norm_sqr_ - 2.0f * ip +
-          artifacts_->level_norms[static_cast<std::size_t>(id * num_levels +
-                                                           l)];
-      const float extra = artifacts_->level_errors[static_cast<std::size_t>(
-          id * num_levels + l)];
-      if (artifacts_->correctors[static_cast<std::size_t>(l)]
-              .PredictPrunable(approx, tau, extra)) {
+      const float approx = query_norm_sqr_ - 2.0f * ip + norms[l];
+      if (artifacts_->correctors[l].PredictPrunable(approx, tau, errors[l])) {
         ++stats_.pruned;
         return {true, approx};
       }
@@ -196,8 +183,16 @@ index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
   }
   ++stats_.exact_computations;
   stats_.dims_scanned += dim();
-  return {false, simd::L2Sqr(query_, base_->Row(id),
-                             static_cast<std::size_t>(dim()))};
+  return {false, ExactDistance(id)};
+}
+
+index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
+    int64_t id, float tau) {
+  const int64_t num_levels =
+      static_cast<int64_t>(artifacts_->levels.size());
+  return Cascade(artifacts_->codes.data() + id * artifacts_->rq.code_size(),
+                 artifacts_->level_norms.data() + id * num_levels,
+                 artifacts_->level_errors.data() + id * num_levels, id, tau);
 }
 
 std::string DdcRqCascadeComputer::code_tag() const {
@@ -242,56 +237,23 @@ void DdcRqCascadeComputer::EstimateBatchCodes(const uint8_t* codes,
                                               const int64_t* ids, int count,
                                               float tau,
                                               index::EstimateResult* out) {
-  // Per-candidate cascade identical to EstimateWithThreshold, with the
-  // code bytes and per-level norms/errors read off the sequential record
-  // stream; only exact fallbacks touch the (id-gathered) base rows.
-  const quant::RqCodebook& rq = artifacts_->rq;
+  // The cascade of EstimateWithThreshold, with the code bytes and
+  // per-level norms/errors read off the sequential record stream; only
+  // exact fallbacks touch the (id-gathered) base rows.
   const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
-  const int64_t code_size = rq.code_size();
+  const int64_t code_size = artifacts_->rq.code_size();
   const int64_t stride =
       quant::CodeRecordStride(code_size, static_cast<int>(2 * num_levels));
-  const bool tau_finite = std::isfinite(tau);
-
   for (int i = 0; i < count; ++i) {
     const uint8_t* rec = codes + i * stride;
     if (i + 1 < count) RESINFER_PREFETCH(rec + stride);
-    ++stats_.candidates;
-    bool pruned = false;
-    if (tau_finite) {
-      const float* norms = quant::RecordSidecars(rec, code_size);
-      const float* errors = norms + num_levels;
-      float ip = 0.0f;
-      int stage = 0;
-      for (int64_t l = 0; l < num_levels && !pruned; ++l) {
-        const int stages = artifacts_->levels[static_cast<std::size_t>(l)];
-        for (; stage < stages; ++stage) {
-          ip += active_ip_table_[static_cast<std::size_t>(
-              static_cast<int64_t>(stage) * rq.num_centroids() +
-              rq.CodeAt(rec, stage))];
-          ++stage_lookups_;
-        }
-        const float approx = query_norm_sqr_ - 2.0f * ip + norms[l];
-        if (artifacts_->correctors[static_cast<std::size_t>(l)]
-                .PredictPrunable(approx, tau, errors[l])) {
-          ++stats_.pruned;
-          out[i] = {true, approx};
-          pruned = true;
-        }
-      }
-    }
-    if (!pruned) {
-      ++stats_.exact_computations;
-      stats_.dims_scanned += dim();
-      out[i] = {false, simd::L2Sqr(query_, base_->Row(ids[i]),
-                                   static_cast<std::size_t>(dim()))};
-    }
+    const float* norms = quant::RecordSidecars(rec, code_size);
+    out[i] = Cascade(rec, norms, norms + num_levels, ids[i], tau);
   }
 }
 
 float DdcRqCascadeComputer::ExactDistance(int64_t id) {
   RESINFER_DCHECK(query_ != nullptr);
-  ++stats_.exact_computations;
-  stats_.dims_scanned += dim();
   return simd::L2Sqr(query_, base_->Row(id),
                      static_cast<std::size_t>(dim()));
 }

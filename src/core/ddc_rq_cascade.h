@@ -86,8 +86,8 @@ class DdcRqCascadeComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: per-member IP tables and query norms built once per
-  // SetQueryBatch; SelectQuery swaps pointers.
+  // Per-member IP tables and query norms are built once per SetQueryBatch
+  // (a single query is a group of one); SelectQuery swaps pointers.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -101,17 +101,22 @@ class DdcRqCascadeComputer : public index::DistanceComputer {
   int64_t stage_lookups() const { return stage_lookups_; }
 
  private:
+  // The one per-candidate cascade behind EstimateWithThreshold and
+  // EstimateBatchCodes. `code`, `norms` and `errors` (one entry per level)
+  // point into a code record or into the id-indexed artifact arrays; only
+  // the exact fallback reads the base row of `id`.
+  index::EstimateResult Cascade(const uint8_t* code, const float* norms,
+                                const float* errors, int64_t id, float tau);
+
   const linalg::Matrix* base_;
   const DdcRqCascadeArtifacts* artifacts_;
 
-  const float* query_ = nullptr;
-  std::vector<float> ip_table_;
-  float query_norm_sqr_ = 0.0f;
-  // The table the cascade reads: ip_table_ after BeginQuery, a row of
-  // group_tables_ after SelectQuery.
-  const float* active_ip_table_ = nullptr;
   std::vector<float> group_tables_;  // group x ip_table_size
   std::vector<float> group_norms_;   // ||q||^2 per member
+  // The selected member's state.
+  const float* query_ = nullptr;
+  const float* active_ip_table_ = nullptr;
+  float query_norm_sqr_ = 0.0f;
   int64_t stage_lookups_ = 0;
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;

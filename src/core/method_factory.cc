@@ -130,7 +130,7 @@ std::unique_ptr<index::DistanceComputer> MethodFactory::Make(
   if (method == kMethodDdcOpq) {
     const DdcOpqArtifacts& artifacts = EnsureDdcOpqArtifacts();
     costs_.ddc_opq_bytes = artifacts.ExtraBytes();
-    return std::make_unique<DdcOpqComputer>(&dataset_->base, &artifacts);
+    return MakeDdcOpqComputer(&dataset_->base, &artifacts);
   }
   if (method == kMethodFinger) {
     RESINFER_CHECK_MSG(graph != nullptr,

@@ -83,19 +83,44 @@ void RefineExactL2(const float* query, std::size_t d, RowFn&& row,
   }
 }
 
-// The chunked estimate/prune/refine loop shared by the corrector-backed
-// batch computers (DdcAny, DdcOpq): `approx(ids, start, n, out, extras)`
-// fills a chunk's approximate distances and per-point trust features
-// (extras arrive zeroed, matching the sequential path's scratch); `start`
-// is the chunk's offset from the block head, so code-resident callers can
-// address records at start * stride in their stream while id-gather
-// callers ignore it. `prunable(approx, extra)` applies the corrector at
-// the caller's tau. Survivors are refined exactly via RefineExactL2 and
-// stats advance as the equivalent sequential loop would.
 // Candidates per EstimatePruneRefine chunk; the ApproxFn callback never
 // sees more than this many ids per call.
 inline constexpr int kRefineChunk = 32;
 
+// One chunk's prune + exact refinement: candidate j in [0, n) (id ids[j])
+// with approximation approx[j] and trust feature extra[j] is pruned when
+// `tau_finite && prunable(approx[j], extra[j])`, else refined exactly via
+// RefineExactL2; out[j] receives the result. Advances every stats counter
+// but `candidates`, which the caller counts. n <= kRefineChunk.
+template <typename RowFn, typename PruneFn>
+void PruneRefineChunk(const float* query, std::size_t d, RowFn&& row,
+                      PruneFn&& prunable, bool tau_finite, const int64_t* ids,
+                      int n, const float* approx, const float* extra,
+                      ComputerStats& stats, EstimateResult* out) {
+  int survivors[kRefineChunk];
+  int num_survivors = 0;
+  for (int j = 0; j < n; ++j) {
+    if (tau_finite && prunable(approx[j], extra[j])) {
+      ++stats.pruned;
+      out[j] = {true, approx[j]};
+    } else {
+      survivors[num_survivors++] = j;
+    }
+  }
+  stats.exact_computations += num_survivors;
+  stats.dims_scanned +=
+      static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
+  RefineExactL2(query, d, row, ids, survivors, num_survivors, out);
+}
+
+// The chunked estimate/prune/refine loop of the corrector-backed batch
+// computer (DdcAny): `approx(ids, start, n, out, extras)` fills a chunk's
+// approximate distances and per-point trust features (extras arrive
+// zeroed, matching the sequential path's scratch); `start` is the chunk's
+// offset from the block head, so code-resident callers can address
+// records at start * stride in their stream while id-gather callers
+// ignore it. `prunable(approx, extra)` applies the corrector at the
+// caller's tau. Stats advance as the equivalent sequential loop would.
 template <typename RowFn, typename ApproxFn, typename PruneFn>
 void EstimatePruneRefine(const float* query, std::size_t d, RowFn&& row,
                          ApproxFn&& approx, PruneFn&& prunable,
@@ -103,28 +128,13 @@ void EstimatePruneRefine(const float* query, std::size_t d, RowFn&& row,
                          ComputerStats& stats, EstimateResult* out) {
   float approx_dist[kRefineChunk];
   float extra[kRefineChunk];
-  int survivors[kRefineChunk];
-
   for (int i = 0; i < count; i += kRefineChunk) {
     const int block = std::min(kRefineChunk, count - i);
     stats.candidates += block;
     std::fill_n(extra, block, 0.0f);
     approx(ids + i, i, block, approx_dist, extra);
-
-    int num_survivors = 0;
-    for (int j = 0; j < block; ++j) {
-      if (tau_finite && prunable(approx_dist[j], extra[j])) {
-        ++stats.pruned;
-        out[i + j] = {true, approx_dist[j]};
-      } else {
-        survivors[num_survivors++] = i + j;
-      }
-    }
-    stats.exact_computations += num_survivors;
-    stats.dims_scanned +=
-        static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
-
-    RefineExactL2(query, d, row, ids, survivors, num_survivors, out);
+    PruneRefineChunk(query, d, row, prunable, tau_finite, ids + i, block,
+                     approx_dist, extra, stats, out + i);
   }
 }
 

@@ -36,7 +36,10 @@
 //       candidate-at-a-time search.
 //
 // Computers are stateful per query (BeginQuery rotates the query / builds
-// lookup tables); use one computer instance per search thread.
+// lookup tables); use one computer instance per search thread. In the DDC
+// computers a single query is a group of one: BeginQuery(q) is
+// SetQueryBatch(q, 1, dim()) followed by SelectQuery(0), so per-query state
+// has one build path and one layout.
 #ifndef RESINFER_INDEX_DISTANCE_COMPUTER_H_
 #define RESINFER_INDEX_DISTANCE_COMPUTER_H_
 
@@ -177,8 +180,8 @@ class DistanceComputer {
   // BeginQuery on each switch, which is correct for any computer; the DDC
   // computers override the pair to build all per-query state (ADC tables,
   // rotated queries, cascade bounds) once in SetQueryBatch and make
-  // SelectQuery a pointer swap. Calling BeginQuery directly afterwards
-  // reverts to plain single-query operation.
+  // SelectQuery a pointer swap, and their BeginQuery declares a group of
+  // one. Either call replaces the previous group.
   virtual void SetQueryBatch(const float* queries, int count, int64_t stride);
   virtual void SelectQuery(int g);
 
@@ -217,7 +220,10 @@ class DistanceComputer {
   // order is bit-identical per member; only memory behavior differs.
   virtual bool group_scan_tiles_blocks() const { return false; }
 
-  // Exact distance to point `id` for the current query.
+  // Exact distance to point `id` for the current query. Never touches
+  // ComputerStats: the counters describe the estimate protocol above, and
+  // a caller that evaluates points directly (HNSW's greedy descent) would
+  // otherwise skew them for some computers and not others.
   virtual float ExactDistance(int64_t id) = 0;
 
   // Hook for graph indexes: called when the search expands node `node` so

@@ -65,22 +65,6 @@ IvfIndex IvfIndex::Build(const linalg::Matrix& base,
   return index;
 }
 
-IvfIndex IvfIndex::FromComponents(
-    int64_t size, linalg::Matrix centroids,
-    std::vector<std::vector<int64_t>> buckets) {
-  RESINFER_CHECK(centroids.rows() == static_cast<int64_t>(buckets.size()));
-  std::vector<int64_t> offsets;
-  offsets.reserve(buckets.size() + 1);
-  offsets.push_back(0);
-  std::vector<int64_t> ids;
-  for (const auto& bucket : buckets) {
-    ids.insert(ids.end(), bucket.begin(), bucket.end());
-    offsets.push_back(static_cast<int64_t>(ids.size()));
-  }
-  return FromCsr(size, std::move(centroids), std::move(offsets),
-                 std::move(ids));
-}
-
 util::Status IvfIndex::ValidateCsr(int64_t size, int64_t num_clusters,
                                    const std::vector<int64_t>& bucket_offsets,
                                    const std::vector<int64_t>& ids) {
@@ -125,13 +109,6 @@ void IvfIndex::AttachCodes(const quant::CodeStore& source) {
   codes_ = source.PermutedBy(ids_);
 }
 
-void IvfIndex::AttachPermutedCodes(quant::CodeStore codes) {
-  // One record per CSR entry (== size_ when the buckets partition the base,
-  // which persist enforces on its files).
-  RESINFER_CHECK(codes.size() == static_cast<int64_t>(ids_.size()));
-  codes_ = std::move(codes);
-}
-
 void IvfIndex::AttachSharedCodes(const quant::CodeStore& source) {
   RESINFER_CHECK(source.size() == static_cast<int64_t>(ids_.size()));
   codes_ = source.ShareView();
@@ -150,61 +127,12 @@ std::vector<Neighbor> IvfIndex::Search(DistanceComputer& computer,
   if (k <= 0) return {};  // nothing asked for; clamp instead of aborting
   nprobe = std::clamp(nprobe, 1, num_clusters());
   computer.BeginQuery(query);
-
-  std::vector<int32_t> probe =
+  const std::vector<int32_t> probe =
       quant::NearestCentroids(centroids_, query, nprobe);
-
-  ResultHeap heap;
-  EstimateResult est[kScanBlock];
-
-  // Route through the code-resident stream only when the attached store
-  // was built by (a computer identical to) `computer` — the tag encodes
-  // method + record layout + a content fingerprint, so a mismatched or
-  // stale store is never misread. One virtual call per search; computers
-  // cache the string.
-  const std::string computer_tag =
-      has_codes() ? computer.code_tag() : std::string();
-  const bool code_resident =
-      !computer_tag.empty() && codes_.tag() == computer_tag;
-  const int64_t code_stride = code_resident ? codes_.stride() : 0;
-
-  for (int32_t bucket : probe) {
-    const int64_t* bucket_ids = BucketIds(bucket);
-    const int64_t len = BucketSize(bucket);
-    const uint8_t* bucket_codes =
-        code_resident ? BucketCodes(bucket) : nullptr;
-    for (int64_t pos = 0; pos < len; pos += kScanBlock) {
-      const int block =
-          static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-      // Pull the next block's id range toward the cache while this block
-      // computes (the candidate rows themselves are prefetched inside the
-      // computers' EstimateBatch overrides).
-      if (pos + block < len) {
-        RESINFER_PREFETCH(bucket_ids + pos + block);
-        RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-      }
-      const float tau = static_cast<int>(heap.size()) == k
-                            ? heap.top().first
-                            : kInfDistance;
-      if (code_resident) {
-        computer.EstimateBatchCodes(bucket_codes + pos * code_stride,
-                                    bucket_ids + pos, block, tau, est);
-      } else {
-        computer.EstimateBatch(bucket_ids + pos, block, tau, est);
-      }
-      for (int j = 0; j < block; ++j) {
-        if (est[j].pruned) continue;
-        if (static_cast<int>(heap.size()) < k) {
-          heap.emplace(est[j].distance, bucket_ids[pos + j]);
-        } else if (est[j].distance < heap.top().first) {
-          heap.pop();
-          heap.emplace(est[j].distance, bucket_ids[pos + j]);
-        }
-      }
-    }
-  }
-
-  return DrainHeap(heap);
+  const int32_t* probes[1] = {probe.data()};
+  std::vector<Neighbor> result;
+  ScanGroup<1>(computer, 1, probes, k, nprobe, /*begun=*/true, &result);
+  return result;
 }
 
 void IvfIndex::SearchBatchRange(DistanceComputer& computer,
@@ -222,22 +150,13 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
   }
   nprobe = std::clamp(nprobe, 1, num_clusters());
 
-  // Route through the code-resident stream under the same tag match as
-  // Search; resolved once for the whole batch.
-  const std::string computer_tag =
-      has_codes() ? computer.code_tag() : std::string();
-  const bool code_resident =
-      !computer_tag.empty() && codes_.tag() == computer_tag;
-  const int64_t code_stride = code_resident ? codes_.stride() : 0;
-  const bool tile_blocks = computer.group_scan_tiles_blocks();
-
+  std::vector<int32_t> probe_storage;
   for (int64_t start = 0; start < count; start += kMaxQueryGroup) {
     const int group = static_cast<int>(
         std::min<int64_t>(kMaxQueryGroup, count - start));
     const int64_t row0 = begin + start;
     computer.SetQueryBatch(queries.Row(row0), group, queries.cols());
 
-    std::vector<int32_t> probe_storage;
     const int32_t* probes[kMaxQueryGroup];
     if (probe_lists == nullptr) {
       // Rank the group's centroids in one tiled pass (bit-identical to
@@ -251,125 +170,147 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
                       ? probe_lists + (start + g) * nprobe
                       : probe_storage.data() + static_cast<int64_t>(g) * nprobe;
     }
+    ScanGroup<kMaxQueryGroup>(computer, group, probes, k, nprobe,
+                              /*begun=*/false, results + start);
+  }
+}
 
-    ResultHeap heaps[kMaxQueryGroup];
-    EstimateResult est[kMaxQueryGroup * kScanBlock];
-    float taus[kMaxQueryGroup];
-    int members[kMaxQueryGroup];
-    int cursor[kMaxQueryGroup] = {0};
+template <int kCapacity>
+void IvfIndex::ScanGroup(DistanceComputer& computer, int group,
+                         const int32_t* const* probes, int k, int nprobe,
+                         bool begun, std::vector<Neighbor>* results) const {
+  RESINFER_DCHECK(group >= 1 && group <= kCapacity);
+  // Route through the code-resident stream only when the attached store
+  // was built by (a computer identical to) `computer` — the tag encodes
+  // method + record layout + a content fingerprint, so a mismatched or
+  // stale store is never misread. Computers cache the string.
+  const std::string computer_tag =
+      has_codes() ? computer.code_tag() : std::string();
+  const bool code_resident =
+      !computer_tag.empty() && codes_.tag() == computer_tag;
+  const int64_t code_stride = code_resident ? codes_.stride() : 0;
+  const bool tile_blocks = computer.group_scan_tiles_blocks();
 
-    // Co-probe scheduling: each member consumes its probe list strictly in
-    // rank order (that plus the per-block tau refresh is what makes every
-    // member bit-identical to its sequential Search), but members need not
-    // advance in lock step. Every round picks the bucket the most members
-    // want next, scans it once, and advances exactly those members — so
-    // probe lists that agree on buckets at different ranks still converge
-    // onto shared streams.
-    while (true) {
-      int best_count = 0;
-      int32_t best_bucket = -1;
-      for (int g = 0; g < group; ++g) {
-        if (cursor[g] >= nprobe) continue;
-        const int32_t bucket = probes[g][cursor[g]];
-        if (bucket == best_bucket) continue;  // counted when first seen
-        int cnt = 0;
-        for (int h = g; h < group; ++h) {
-          if (cursor[h] < nprobe && probes[h][cursor[h]] == bucket) ++cnt;
+  // Scratch sized by the capacity, so a single query (kCapacity 1) pays
+  // for one member, not for a full group.
+  ResultHeap heaps[kCapacity];
+  EstimateResult est[kCapacity * kScanBlock];
+  float taus[kCapacity];
+  int members[kCapacity];
+  int cursor[kCapacity] = {0};
+
+  const auto push = [k](ResultHeap& heap, const EstimateResult* vals,
+                        const int64_t* ids, int block) {
+    for (int c = 0; c < block; ++c) {
+      if (vals[c].pruned) continue;
+      if (static_cast<int>(heap.size()) < k) {
+        heap.emplace(vals[c].distance, ids[c]);
+      } else if (vals[c].distance < heap.top().first) {
+        heap.pop();
+        heap.emplace(vals[c].distance, ids[c]);
+      }
+    }
+  };
+  const auto tau_of = [k](const ResultHeap& heap) {
+    return static_cast<int>(heap.size()) == k ? heap.top().first
+                                              : kInfDistance;
+  };
+
+  // Co-probe scheduling: each member consumes its probe list strictly in
+  // rank order (that plus the per-block tau refresh is what makes every
+  // member bit-identical to its sequential Search), but members need not
+  // advance in lock step. Every round picks the bucket the most members
+  // want next, scans it once, and advances exactly those members — so
+  // probe lists that agree on buckets at different ranks still converge
+  // onto shared streams.
+  while (true) {
+    int best_count = 0;
+    int32_t best_bucket = -1;
+    for (int g = 0; g < group; ++g) {
+      if (cursor[g] >= nprobe) continue;
+      const int32_t bucket = probes[g][cursor[g]];
+      if (bucket == best_bucket) continue;  // counted when first seen
+      int cnt = 0;
+      for (int h = g; h < group; ++h) {
+        if (cursor[h] < nprobe && probes[h][cursor[h]] == bucket) ++cnt;
+      }
+      if (cnt > best_count) {
+        best_count = cnt;
+        best_bucket = bucket;
+      }
+    }
+    if (best_count == 0) break;  // every member exhausted its probes
+
+    int num_members = 0;
+    for (int g = 0; g < group; ++g) {
+      if (cursor[g] < nprobe && probes[g][cursor[g]] == best_bucket) {
+        members[num_members++] = g;
+        ++cursor[g];
+      }
+    }
+
+    const int64_t* bucket_ids = BucketIds(best_bucket);
+    const int64_t len = BucketSize(best_bucket);
+    const uint8_t* bucket_codes =
+        code_resident ? BucketCodes(best_bucket) : nullptr;
+    // Pulls the next block's id range toward the cache while this block
+    // computes (the candidate rows themselves are prefetched inside the
+    // computers' estimate calls).
+    const auto prefetch_next = [bucket_ids, len](int64_t pos, int block) {
+      if (pos + block < len) {
+        RESINFER_PREFETCH(bucket_ids + pos + block);
+        RESINFER_PREFETCH(bucket_ids + pos + block + 8);
+      }
+    };
+    if (tile_blocks && num_members > 1) {
+      // Block-tiled order: each kScanBlock block is scored for every
+      // member in one group call while its candidates sit in L1.
+      for (int64_t pos = 0; pos < len; pos += kScanBlock) {
+        const int block =
+            static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
+        prefetch_next(pos, block);
+        for (int j = 0; j < num_members; ++j) {
+          taus[j] = tau_of(heaps[members[j]]);
         }
-        if (cnt > best_count) {
-          best_count = cnt;
-          best_bucket = bucket;
+        if (code_resident) {
+          computer.EstimateBatchCodesGroup(bucket_codes + pos * code_stride,
+                                           bucket_ids + pos, block, members,
+                                           num_members, taus, est);
+        } else {
+          computer.EstimateBatchGroup(bucket_ids + pos, block, members,
+                                      num_members, taus, est);
+        }
+        for (int j = 0; j < num_members; ++j) {
+          push(heaps[members[j]], est + j * block, bucket_ids + pos, block);
         }
       }
-      if (best_count == 0) break;  // every member exhausted its probes
-
-      int num_members = 0;
-      for (int g = 0; g < group; ++g) {
-        if (cursor[g] < nprobe && probes[g][cursor[g]] == best_bucket) {
-          members[num_members++] = g;
-          ++cursor[g];
-        }
-      }
-
-      const int64_t* bucket_ids = BucketIds(best_bucket);
-      const int64_t len = BucketSize(best_bucket);
-      const uint8_t* bucket_codes =
-          code_resident ? BucketCodes(best_bucket) : nullptr;
-      const auto push = [k](ResultHeap& heap, const EstimateResult* vals,
-                            const int64_t* ids, int block) {
-        for (int c = 0; c < block; ++c) {
-          if (vals[c].pruned) continue;
-          if (static_cast<int>(heap.size()) < k) {
-            heap.emplace(vals[c].distance, ids[c]);
-          } else if (vals[c].distance < heap.top().first) {
-            heap.pop();
-            heap.emplace(vals[c].distance, ids[c]);
-          }
-        }
-      };
-      if (tile_blocks && num_members > 1) {
-        // Block-tiled order: each kScanBlock block is scored for every
-        // member in one group call while its candidates sit in L1.
+    } else {
+      // Member-major order: one member scans the whole bucket before the
+      // next, so large per-query state (ADC tables) stays cache-resident
+      // for the run while the bucket's records are re-read from L1/L2 by
+      // later members. Both orders preserve each member's sequential
+      // block-and-tau schedule. A begun single query is already current.
+      for (int j = 0; j < num_members; ++j) {
+        if (!begun) computer.SelectQuery(members[j]);
+        ResultHeap& heap = heaps[members[j]];
         for (int64_t pos = 0; pos < len; pos += kScanBlock) {
           const int block =
               static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-          if (pos + block < len) {
-            RESINFER_PREFETCH(bucket_ids + pos + block);
-            RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-          }
-          for (int j = 0; j < num_members; ++j) {
-            const ResultHeap& heap = heaps[members[j]];
-            taus[j] = static_cast<int>(heap.size()) == k ? heap.top().first
-                                                         : kInfDistance;
-          }
+          prefetch_next(pos, block);
+          const float tau = tau_of(heap);
           if (code_resident) {
-            computer.EstimateBatchCodesGroup(
-                bucket_codes + pos * code_stride, bucket_ids + pos, block,
-                members, num_members, taus, est);
+            computer.EstimateBatchCodes(bucket_codes + pos * code_stride,
+                                        bucket_ids + pos, block, tau, est);
           } else {
-            computer.EstimateBatchGroup(bucket_ids + pos, block, members,
-                                        num_members, taus, est);
+            computer.EstimateBatch(bucket_ids + pos, block, tau, est);
           }
-          for (int j = 0; j < num_members; ++j) {
-            push(heaps[members[j]], est + j * block, bucket_ids + pos,
-                 block);
-          }
-        }
-      } else {
-        // Member-major order: one member scans the whole bucket before
-        // the next, so large per-query state (ADC tables) stays
-        // cache-resident for the run while the bucket's records are
-        // re-read from L1/L2 by later members. Both orders preserve each
-        // member's sequential block-and-tau schedule.
-        for (int j = 0; j < num_members; ++j) {
-          computer.SelectQuery(members[j]);
-          ResultHeap& heap = heaps[members[j]];
-          for (int64_t pos = 0; pos < len; pos += kScanBlock) {
-            const int block =
-                static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-            if (pos + block < len) {
-              RESINFER_PREFETCH(bucket_ids + pos + block);
-              RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-            }
-            const float tau = static_cast<int>(heap.size()) == k
-                                  ? heap.top().first
-                                  : kInfDistance;
-            if (code_resident) {
-              computer.EstimateBatchCodes(bucket_codes + pos * code_stride,
-                                          bucket_ids + pos, block, tau, est);
-            } else {
-              computer.EstimateBatch(bucket_ids + pos, block, tau, est);
-            }
-            push(heap, est, bucket_ids + pos, block);
-          }
+          push(heap, est, bucket_ids + pos, block);
         }
       }
     }
-
-    for (int g = 0; g < group; ++g) {
-      results[start + g] = DrainHeap(heaps[g]);
-    }
   }
+
+  for (int g = 0; g < group; ++g) results[g] = DrainHeap(heaps[g]);
 }
 
 std::vector<std::vector<Neighbor>> IvfIndex::SearchBatch(

@@ -9,7 +9,9 @@
 // Bucket storage is a CSR-style flat layout: one contiguous id array plus
 // per-bucket offsets. Probed buckets are therefore scanned in cache-resident
 // blocks through DistanceComputer::EstimateBatch (with next-block prefetch)
-// instead of pointer-chasing nested vectors.
+// instead of pointer-chasing nested vectors. One scan loop serves every
+// route: a single query (Search) is a group of one, scanned by the same
+// co-probe loop that serves query groups (SearchBatchRange).
 //
 // Code-resident mode: the index can additionally own a bucket-contiguous
 // copy of a computer's quantized codes + sidecar features (quant::CodeStore
@@ -56,13 +58,8 @@ class IvfIndex {
                         const quant::CodeStore* codes = nullptr);
 
   // Rebuilds an index from persisted parts (persist/persist.h). `size` is
-  // the number of indexed points; bucket ids must lie in [0, size). The
-  // nested-vector overload serves the legacy (v1) on-disk format and is
-  // flattened on entry.
-  static IvfIndex FromComponents(int64_t size, linalg::Matrix centroids,
-                                 std::vector<std::vector<int64_t>> buckets);
-
-  // CSR parts: `bucket_offsets` has num_clusters + 1 entries with
+  // the number of indexed points; bucket ids must lie in [0, size). CSR
+  // parts: `bucket_offsets` has num_clusters + 1 entries with
   // bucket_offsets[0] == 0, non-decreasing, and
   // bucket_offsets.back() == ids.size(). FromCsr CHECK-aborts on invalid
   // parts (programmer error); callers handling untrusted input (persist)
@@ -111,18 +108,15 @@ class IvfIndex {
   // Permutes an id-indexed store (record i describes point i; typically
   // computer.MakeCodeStore()) into bucket-contiguous order and owns the
   // copy. The permutation is an inherent copy (records move between
-  // positions); for records already in bucket order use
-  // AttachPermutedCodes (move) or AttachSharedCodes (zero-copy view)
-  // instead of paying 2x the section's footprint. CHECK-aborts unless
-  // source.size() == size().
+  // positions); for records already in bucket order use AttachSharedCodes
+  // (zero-copy view) instead of paying 2x the section's footprint.
+  // CHECK-aborts unless source.size() == size().
   void AttachCodes(const quant::CodeStore& source);
-  // Installs records already in bucket order (the persist load path).
-  void AttachPermutedCodes(quant::CodeStore codes);
   // Zero-copy attach of bucket-ordered records: shares `source`'s storage
   // handle instead of copying bytes, so attaching an already-permuted
   // store (a persisted section, another index's attached store, an mmap
   // slice) adds no peak RSS. Caller contract: record j describes the point
-  // ids()[j], exactly as AttachPermutedCodes requires.
+  // ids()[j] (one record per CSR entry).
   void AttachSharedCodes(const quant::CodeStore& source);
   // Convenience: builds the computer's store and attaches it; returns
   // false (attaching nothing) for computers without code-resident support.
@@ -133,7 +127,9 @@ class IvfIndex {
   // surprising the caller: nprobe to [1, num_clusters()], and k <= 0
   // returns an empty result (k > size() simply yields fewer neighbors).
   // Scans stream through EstimateBatchCodes when the attached store
-  // matches `computer` (see the header comment), else gather by id.
+  // matches `computer` (see the header comment), else gather by id. The
+  // computer's query state is set by BeginQuery, and the scan is the
+  // grouped loop over a group of one.
   std::vector<Neighbor> Search(DistanceComputer& computer, const float* query,
                                int k, int nprobe) const;
 
@@ -167,6 +163,18 @@ class IvfIndex {
                         const int32_t* probe_lists = nullptr) const;
 
  private:
+  // The one scan loop behind Search and SearchBatchRange. Member g of the
+  // computer's current group (g < group <= kCapacity) visits the nprobe
+  // buckets probes[g] lists, in rank order, with its own running top-k;
+  // results[g] receives its neighbors. `begun` says the group is a single
+  // query set by BeginQuery, which the loop then never re-selects.
+  // kCapacity sizes the per-member scratch, so a single query pays for
+  // one member.
+  template <int kCapacity>
+  void ScanGroup(DistanceComputer& computer, int group,
+                 const int32_t* const* probes, int k, int nprobe, bool begun,
+                 std::vector<Neighbor>* results) const;
+
   int64_t size_ = 0;
   linalg::Matrix centroids_;
   std::vector<int64_t> bucket_offsets_;  // num_clusters + 1

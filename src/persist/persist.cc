@@ -839,7 +839,7 @@ Status LoadIvf(const std::string& path, index::IvfIndex* out,
 
   *out = index::IvfIndex::FromCsr(size, std::move(centroids),
                                   std::move(offsets), std::move(ids));
-  if (has_codes) out->AttachPermutedCodes(std::move(codes));
+  if (has_codes) out->AttachSharedCodes(codes);
   return Status::Ok();
 }
 

@@ -202,30 +202,31 @@ int32_t NearestCentroid(const linalg::Matrix& centroids, const float* x,
   return best;
 }
 
-void NearestCentroidsBatch(const linalg::Matrix& centroids,
-                           const linalg::Matrix& queries, int64_t begin,
-                           int64_t count, int nprobe, int32_t* out) {
+namespace {
+
+// The one centroid-ranking loop: out[i * nprobe .. (i+1) * nprobe) receives
+// the ids of the nprobe centroids closest to point i (centroids.cols()
+// floats at points + i * stride), ascending by distance. Tiles of points
+// are scored against four centroids per L2SqrTile call, whose lanes are
+// bit-identical to the single-pair L2Sqr; centroids are considered in id
+// order and one replaces the heap top only if strictly closer, so ties
+// resolve exactly as in a one-at-a-time loop. Requires
+// 1 <= nprobe <= centroids.rows().
+void RankCentroids(const linalg::Matrix& centroids, const float* points,
+                   int64_t count, int64_t stride, int nprobe, int32_t* out) {
   const std::size_t d = static_cast<std::size_t>(centroids.cols());
   const int64_t num_centroids = centroids.rows();
-  RESINFER_CHECK(nprobe > 0 && nprobe <= num_centroids);
-  RESINFER_CHECK(queries.cols() == centroids.cols());
-  RESINFER_CHECK(begin >= 0 && begin + count <= queries.rows());
 
-  // Queries per tile pass; bounds the live heaps and the tile output.
+  // Points per tile pass; bounds the live heaps and the tile output.
   constexpr int kTile = 16;
   using Entry = std::pair<float, int32_t>;  // (distance, id), max-heap
 
   for (int64_t q0 = 0; q0 < count; q0 += kTile) {
     const int nq = static_cast<int>(std::min<int64_t>(kTile, count - q0));
     const float* query_ptrs[kTile];
-    for (int g = 0; g < nq; ++g) {
-      query_ptrs[g] = queries.Row(begin + q0 + g);
-    }
+    for (int g = 0; g < nq; ++g) query_ptrs[g] = points + (q0 + g) * stride;
     std::priority_queue<Entry> heaps[kTile];
 
-    // Same per-query centroid order and same keep-if-strictly-closer heap
-    // logic as NearestCentroids, so ties resolve identically; the tile
-    // kernel's lanes are bit-identical to the single-pair L2Sqr it uses.
     const auto consider = [&heaps, nprobe, nq](int64_t c,
                                                const float* dist) {
       for (int g = 0; g < nq; ++g) {
@@ -274,45 +275,26 @@ void NearestCentroidsBatch(const linalg::Matrix& centroids,
   }
 }
 
+}  // namespace
+
+void NearestCentroidsBatch(const linalg::Matrix& centroids,
+                           const linalg::Matrix& queries, int64_t begin,
+                           int64_t count, int nprobe, int32_t* out) {
+  RESINFER_CHECK(nprobe > 0 && nprobe <= centroids.rows());
+  RESINFER_CHECK(queries.cols() == centroids.cols());
+  RESINFER_CHECK(begin >= 0 && begin + count <= queries.rows());
+  if (count == 0) return;
+  RankCentroids(centroids, queries.Row(begin), count, queries.cols(), nprobe,
+                out);
+}
+
 std::vector<int32_t> NearestCentroids(const linalg::Matrix& centroids,
                                       const float* x, int nprobe) {
-  const std::size_t d = static_cast<std::size_t>(centroids.cols());
   nprobe = static_cast<int>(
       std::min<int64_t>(nprobe, centroids.rows()));
   RESINFER_CHECK(nprobe > 0);
-
-  using Entry = std::pair<float, int32_t>;  // (distance, id), max-heap
-  std::priority_queue<Entry> heap;
-  const auto consider = [&heap, nprobe](int64_t c, float dist) {
-    if (static_cast<int>(heap.size()) < nprobe) {
-      heap.emplace(dist, static_cast<int32_t>(c));
-    } else if (dist < heap.top().first) {
-      heap.pop();
-      heap.emplace(dist, static_cast<int32_t>(c));
-    }
-  };
-  // Four centroids per kernel call; its lanes are bit-identical to the
-  // single-pair L2Sqr, and centroids are still considered in id order, so
-  // ties resolve exactly as in a one-at-a-time loop.
-  const int64_t num_centroids = centroids.rows();
-  const float* rows[simd::kBatchWidth];
-  float dist[simd::kBatchWidth];
-  int64_t c = 0;
-  for (; c + simd::kBatchWidth <= num_centroids; c += simd::kBatchWidth) {
-    for (int r = 0; r < simd::kBatchWidth; ++r) {
-      rows[r] = centroids.Row(c + r);
-    }
-    simd::L2SqrBatch4(x, rows, d, dist);
-    for (int r = 0; r < simd::kBatchWidth; ++r) consider(c + r, dist[r]);
-  }
-  for (; c < num_centroids; ++c) {
-    consider(c, simd::L2Sqr(centroids.Row(c), x, d));
-  }
-  std::vector<int32_t> out(heap.size());
-  for (int64_t i = static_cast<int64_t>(heap.size()) - 1; i >= 0; --i) {
-    out[i] = heap.top().second;
-    heap.pop();
-  }
+  std::vector<int32_t> out(static_cast<std::size_t>(nprobe));
+  RankCentroids(centroids, x, 1, centroids.cols(), nprobe, out.data());
   return out;
 }
 

@@ -52,7 +52,9 @@ void AssignNearestCentroids(const linalg::Matrix& centroids,
 int32_t NearestCentroid(const linalg::Matrix& centroids, const float* x,
                         float* distance = nullptr);
 
-// Indices of the `nprobe` closest centroids, ascending by distance.
+// Indices of the `nprobe` closest centroids, ascending by distance;
+// nprobe is clamped to centroids.rows(). NearestCentroidsBatch for one
+// point.
 std::vector<int32_t> NearestCentroids(const linalg::Matrix& centroids,
                                       const float* x, int nprobe);
 

@@ -44,6 +44,12 @@ TEST(MethodFactoryTest, AllMethodsConstruct) {
     computer->BeginQuery(ds.queries.Row(0));
     auto est = computer->EstimateWithThreshold(0, index::kInfDistance);
     EXPECT_FALSE(est.pruned) << name;
+    // A direct exact evaluation never counts in ComputerStats.
+    const index::ComputerStats before = computer->stats();
+    computer->ExactDistance(1);
+    EXPECT_EQ(computer->stats().exact_computations,
+              before.exact_computations) << name;
+    EXPECT_EQ(computer->stats().dims_scanned, before.dims_scanned) << name;
   }
 }
 

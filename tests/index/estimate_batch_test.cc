@@ -18,6 +18,7 @@
 #include "core/ddc_opq.h"
 #include "core/ddc_pca.h"
 #include "core/ddc_res.h"
+#include "core/ddc_rq_cascade.h"
 #include "index/distance_computer.h"
 #include "simd/dispatch.h"
 #include "test_util.h"
@@ -38,6 +39,7 @@ struct BatchFixture {
   core::DdcPcaArtifacts pca_artifacts;
 
   core::DdcOpqArtifacts opq_artifacts;
+  core::DdcRqCascadeArtifacts cascade_artifacts;
 
   BatchFixture() {
     quant::PqOptions pq_options;
@@ -81,12 +83,20 @@ struct BatchFixture {
     core::DdcOpqOptions opq_options;
     opq_options.training.max_queries = 80;
     opq_artifacts = core::TrainDdcOpq(ds.base, ds.train_queries, opq_options);
+
+    core::DdcRqCascadeOptions cascade_options;
+    cascade_options.levels = {1, 3};
+    cascade_options.rq.num_stages = 3;
+    cascade_options.rq.nbits = 6;
+    cascade_options.training.max_queries = 80;
+    cascade_artifacts =
+        core::TrainDdcRqCascade(ds.base, ds.train_queries, cascade_options);
   }
 
   using ComputerFactory =
       std::function<std::unique_ptr<DistanceComputer>()>;
 
-  // One factory per overriding computer; fresh instances keep the
+  // One factory per estimate-path computer; fresh instances keep the
   // sequential reference and the batch run independent.
   std::vector<std::pair<std::string, ComputerFactory>> Factories() {
     std::vector<std::pair<std::string, ComputerFactory>> factories;
@@ -120,8 +130,11 @@ struct BatchFixture {
       return std::make_unique<core::DdcResComputer>(&pca, &rotated, options);
     });
     factories.emplace_back("ddc-opq", [this] {
-      return std::make_unique<core::DdcOpqComputer>(&ds.base,
-                                                    &opq_artifacts);
+      return core::MakeDdcOpqComputer(&ds.base, &opq_artifacts);
+    });
+    factories.emplace_back("ddc-rq-cascade", [this] {
+      return std::make_unique<core::DdcRqCascadeComputer>(&ds.base,
+                                                          &cascade_artifacts);
     });
     return factories;
   }
@@ -223,6 +236,32 @@ TEST(EstimateBatchTest, DefaultImplementationLoopsSequentially) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(out[i].pruned);
     EXPECT_EQ(out[i].distance, computer.ExactDistance(ids[i]));
+  }
+}
+
+TEST(EstimateBatchTest, ExactDistanceNeverTouchesStats) {
+  // ComputerStats describe the estimate protocol; a direct exact
+  // evaluation (HNSW's greedy descent) must not count in any computer, or
+  // stats stop being comparable across methods.
+  BatchFixture& f = Fixture();
+  FlatDistanceComputer exact(f.ds.base.data(), f.ds.size(), f.ds.dim());
+  exact.BeginQuery(f.ds.queries.Row(2));
+  for (auto& [name, factory] : f.Factories()) {
+    auto computer = factory();
+    computer->BeginQuery(f.ds.queries.Row(2));
+    computer->EstimateWithThreshold(5, kInfDistance);
+    const ComputerStats before = computer->stats();
+    for (int64_t id : {int64_t{0}, int64_t{17}, f.ds.size() - 1}) {
+      // Projection computers evaluate in the rotated space.
+      const float want = exact.ExactDistance(id);
+      EXPECT_NEAR(computer->ExactDistance(id), want, 1e-4f * (1.0f + want))
+          << name;
+    }
+    const ComputerStats& after = computer->stats();
+    EXPECT_EQ(after.candidates, before.candidates) << name;
+    EXPECT_EQ(after.pruned, before.pruned) << name;
+    EXPECT_EQ(after.exact_computations, before.exact_computations) << name;
+    EXPECT_EQ(after.dims_scanned, before.dims_scanned) << name;
   }
 }
 

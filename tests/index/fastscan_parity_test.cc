@@ -502,7 +502,8 @@ TEST(FastScanParityTest, PackedDdcOpqComputerPathsAgree) {
   ASSERT_EQ(static_cast<int64_t>(artifacts.codes.size()),
             ds.size() * artifacts.opq.codebook().code_size());
 
-  core::DdcOpqComputer computer(&ds.base, &artifacts);
+  const auto owned = core::MakeDdcOpqComputer(&ds.base, &artifacts);
+  DistanceComputer& computer = *owned;
   const quant::CodeStore store = computer.MakeCodeStore();
   ASSERT_EQ(store.packing(), quant::CodePacking::kPacked4);
   std::vector<int64_t> ids(ds.size());

@@ -128,8 +128,7 @@ struct MultiQueryFixture {
           &sq_corrector);
     });
     factories.emplace_back("ddc-opq", [this] {
-      return std::make_unique<core::DdcOpqComputer>(&ds.base,
-                                                    &opq_artifacts);
+      return core::MakeDdcOpqComputer(&ds.base, &opq_artifacts);
     });
     factories.emplace_back("ddc-pca", [this] {
       return std::make_unique<core::DdcPcaComputer>(&pca, &rotated,

@@ -764,13 +764,13 @@ TEST_F(PersistTest, DdcOpqArtifactsRoundTrip) {
   EXPECT_EQ(loaded.codes, artifacts.codes);
   EXPECT_EQ(loaded.recon_errors, artifacts.recon_errors);
 
-  core::DdcOpqComputer original(&ds.base, &artifacts);
-  core::DdcOpqComputer restored(&ds.base, &loaded);
-  original.BeginQuery(ds.queries.Row(1));
-  restored.BeginQuery(ds.queries.Row(1));
+  const auto original = core::MakeDdcOpqComputer(&ds.base, &artifacts);
+  const auto restored = core::MakeDdcOpqComputer(&ds.base, &loaded);
+  original->BeginQuery(ds.queries.Row(1));
+  restored->BeginQuery(ds.queries.Row(1));
   for (int64_t i = 0; i < 200; ++i) {
-    auto a = original.EstimateWithThreshold(i, 5.0f);
-    auto b = restored.EstimateWithThreshold(i, 5.0f);
+    auto a = original->EstimateWithThreshold(i, 5.0f);
+    auto b = restored->EstimateWithThreshold(i, 5.0f);
     EXPECT_EQ(a.pruned, b.pruned);
     EXPECT_EQ(a.distance, b.distance);
   }

@@ -140,8 +140,7 @@ ComputerFactory FactoryFor(const std::string& method,
   }
   // ddc-opq (validated earlier).
   return [&artifacts] {
-    return std::make_unique<core::DdcOpqComputer>(&artifacts.base,
-                                                  &*artifacts.ddc_opq);
+    return core::MakeDdcOpqComputer(&artifacts.base, &*artifacts.ddc_opq);
   };
 }
 
