@@ -14,10 +14,6 @@ namespace resinfer::quant {
 
 namespace {
 
-// Points per nearest-centroid tile: the query side of L2SqrTile, so each
-// block of four centroid rows is loaded once per 16 points.
-constexpr int kPointTile = 16;
-
 // k-means++: each next seed is drawn proportionally to its squared distance
 // from the nearest already-chosen seed. Each seed's distance pass runs in
 // parallel, four points per L2SqrBatch4 call (lanes bit-identical to
@@ -153,46 +149,10 @@ void AssignNearestCentroids(const linalg::Matrix& centroids,
                             const float* points, int64_t count,
                             int64_t stride, int32_t* assignments,
                             float* distances) {
-  const std::size_t d = static_cast<std::size_t>(centroids.cols());
-  const int64_t num_centroids = centroids.rows();
-  RESINFER_CHECK(num_centroids >= 1);
-
-  const float* point_ptrs[kPointTile];
-  const float* rows[simd::kBatchWidth];
-  float tile[kPointTile * simd::kBatchWidth];
-  float best_dist[kPointTile];
-  int32_t best[kPointTile];
-  for (int64_t p0 = 0; p0 < count; p0 += kPointTile) {
-    const int np = static_cast<int>(std::min<int64_t>(kPointTile, count - p0));
-    for (int g = 0; g < np; ++g) {
-      point_ptrs[g] = points + (p0 + g) * stride;
-      best_dist[g] = std::numeric_limits<float>::max();
-      best[g] = 0;
-    }
-    for (int64_t c = 0; c < num_centroids; c += simd::kBatchWidth) {
-      // A short last block repeats its final row; the extra lanes are
-      // ignored.
-      const int live = static_cast<int>(
-          std::min<int64_t>(simd::kBatchWidth, num_centroids - c));
-      for (int r = 0; r < simd::kBatchWidth; ++r) {
-        rows[r] = centroids.Row(c + std::min(r, live - 1));
-      }
-      simd::L2SqrTile(point_ptrs, np, rows, d, tile);
-      for (int g = 0; g < np; ++g) {
-        const float* lane = tile + g * simd::kBatchWidth;
-        for (int r = 0; r < live; ++r) {
-          if (lane[r] < best_dist[g]) {
-            best_dist[g] = lane[r];
-            best[g] = static_cast<int32_t>(c + r);
-          }
-        }
-      }
-    }
-    std::copy(best, best + np, assignments + p0);
-    if (distances != nullptr) {
-      std::copy(best_dist, best_dist + np, distances + p0);
-    }
-  }
+  RESINFER_CHECK(centroids.rows() >= 1);
+  simd::AssignNearest(centroids.data(), centroids.rows(),
+                      static_cast<std::size_t>(centroids.cols()), points,
+                      count, stride, assignments, distances);
 }
 
 int32_t NearestCentroid(const linalg::Matrix& centroids, const float* x,

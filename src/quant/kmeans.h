@@ -37,11 +37,11 @@ KMeansResult KMeans(const float* data, int64_t n, int64_t d, int k,
 // single-point lookup: point i (centroids.cols() floats at
 // points + i * stride, i in [0, count)) gets the index of its closest
 // centroid (squared L2) in assignments[i] and, when `distances` is
-// non-null, that distance in distances[i]. Tiles of points are scored
-// against four centroids per L2SqrTile call, whose lanes are bit-identical
-// to L2Sqr; centroids are taken in index order and a later one wins only
-// if strictly closer, so ties go to the lowest index exactly as in a
-// one-at-a-time scan. Serial: callers parallelize over point ranges.
+// non-null, that distance in distances[i]. Runs simd::AssignNearest,
+// whose distances are bit-identical to L2Sqr; centroids are taken in
+// index order and a later one wins only if strictly closer, so ties go to
+// the lowest index exactly as in a one-at-a-time scan. Serial: callers
+// parallelize over point ranges.
 void AssignNearestCentroids(const linalg::Matrix& centroids,
                             const float* points, int64_t count,
                             int64_t stride, int32_t* assignments,

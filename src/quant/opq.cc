@@ -15,24 +15,31 @@ namespace resinfer::quant {
 namespace {
 
 // M = sum_i x_i y_i^T accumulated in double, returned as float matrix.
-// x rows come from `x` (n x d), y rows from `y` (n x d).
+// x rows come from `x` (n x d), y rows from `y` (n x d). The output rows
+// are split across threads, and every element still sums over i in
+// order, so M does not depend on the thread count. ParallelForShards,
+// because ParallelFor would run d < 1024 rows inline.
 linalg::Matrix CrossCorrelation(const float* x, const linalg::Matrix& y,
                                 int64_t n, int64_t d) {
-  std::vector<double> acc(static_cast<std::size_t>(d) * d, 0.0);
-  for (int64_t i = 0; i < n; ++i) {
-    const float* xi = x + i * d;
-    const float* yi = y.Row(i);
-    for (int64_t r = 0; r < d; ++r) {
-      double xr = xi[r];
-      double* row = acc.data() + static_cast<std::size_t>(r) * d;
-      for (int64_t c = 0; c < d; ++c) row[c] += xr * yi[c];
-    }
-  }
   linalg::Matrix m(d, d);
-  for (int64_t r = 0; r < d; ++r)
-    for (int64_t c = 0; c < d; ++c)
-      m.At(r, c) =
-          static_cast<float>(acc[static_cast<std::size_t>(r) * d + c]);
+  ParallelForShards(d, DefaultThreadCount(), [&](int64_t r_begin,
+                                                 int64_t r_end) {
+    std::vector<double> acc(static_cast<std::size_t>(r_end - r_begin) * d,
+                            0.0);
+    for (int64_t i = 0; i < n; ++i) {
+      const float* xi = x + i * d;
+      const float* yi = y.Row(i);
+      for (int64_t r = r_begin; r < r_end; ++r) {
+        double xr = xi[r];
+        double* row = acc.data() + static_cast<std::size_t>(r - r_begin) * d;
+        for (int64_t c = 0; c < d; ++c) row[c] += xr * yi[c];
+      }
+    }
+    for (int64_t r = r_begin; r < r_end; ++r)
+      for (int64_t c = 0; c < d; ++c)
+        m.At(r, c) = static_cast<float>(
+            acc[static_cast<std::size_t>(r - r_begin) * d + c]);
+  });
   return m;
 }
 

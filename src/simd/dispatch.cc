@@ -43,6 +43,8 @@ struct KernelTable {
                      std::size_t, float*);
   void (*pq_adc_tile)(const float* const*, int, int, int,
                       const uint8_t* const*, int, float*);
+  void (*assign_nearest)(const float*, int64_t, std::size_t, const float*,
+                         int64_t, int64_t, int32_t*, float*);
   uint32_t (*crc32c)(uint32_t, const void*, std::size_t);
 };
 
@@ -61,6 +63,7 @@ constexpr KernelTable kScalarTable = {
     internal::PqAdcFastScanTileScalar,
     internal::L2SqrTileScalar,
     internal::PqAdcTileScalar,
+    internal::AssignNearestScalar,
     internal::Crc32cScalar,
 };
 
@@ -80,6 +83,7 @@ constexpr KernelTable kAvx2Table = {
     internal::PqAdcFastScanTileAvx2,
     internal::L2SqrTileAvx2,
     internal::PqAdcTileAvx2,
+    internal::AssignNearestAvx2,
     internal::Crc32cSse42,
 };
 #endif
@@ -100,6 +104,7 @@ constexpr KernelTable kAvx512Table = {
     internal::PqAdcFastScanTileAvx512,
     internal::L2SqrTileAvx512,
     internal::PqAdcTileAvx512,
+    internal::AssignNearestAvx512,
     // AVX-512 hosts use the same SSE4.2 crc32 instruction; there is no wider
     // form, so the tier shares the AVX2 TU's implementation.
     internal::Crc32cSse42,
@@ -283,6 +288,13 @@ void L2SqrTile(const float* const* queries, int num_queries,
 void PqAdcTile(const float* const* tables, int num_queries, int m, int ksub,
                const uint8_t* const* codes, int count, float* out) {
   Active().pq_adc_tile(tables, num_queries, m, ksub, codes, count, out);
+}
+
+void AssignNearest(const float* centroids, int64_t num_centroids,
+                   std::size_t n, const float* points, int64_t count,
+                   int64_t stride, int32_t* assignments, float* distances) {
+  Active().assign_nearest(centroids, num_centroids, n, points, count, stride,
+                          assignments, distances);
 }
 
 uint32_t Crc32c(uint32_t crc, const void* data, std::size_t n) {

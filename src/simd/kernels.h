@@ -130,6 +130,24 @@ void L2SqrTile(const float* const* queries, int num_queries,
 void PqAdcTile(const float* const* tables, int num_queries, int m, int ksub,
                const uint8_t* const* codes, int count, float* out);
 
+// --- Nearest-centroid scan (the build passes) ------------------------------
+//
+// The assignment pass of k-means, PQ encoding and every single-point
+// codebook lookup: assignments[i] is the index of the centroid closest to
+// the point at points + i * stride, for i in [0, count), among the
+// num_centroids >= 1 rows of `centroids` (row-major, n floats each), and
+// distances[i], when distances is non-null, is that squared distance.
+// Every distance is bit-identical to L2Sqr(centroid, point, n) at the same
+// level. Centroids are taken in index order and a later one wins only if
+// strictly closer, so ties go to the lowest index and a point with no
+// distance below FLT_MAX (NaN, or a square that overflows) gets index 0
+// and FLT_MAX, exactly as in a one-at-a-time scan. The scalar and AVX2
+// entries score 16-point tiles against four centroids per L2SqrTile call;
+// the AVX-512 entry scores 16 points per zmm register when n <= 16.
+void AssignNearest(const float* centroids, int64_t num_centroids,
+                   std::size_t n, const float* points, int64_t count,
+                   int64_t stride, int32_t* assignments, float* distances);
+
 // --- CRC32C (Castagnoli) ---------------------------------------------------
 //
 // Incremental CRC32C over a byte range, used by the persist layer to
@@ -172,6 +190,19 @@ void PqAdcTileScalar(const float* const* tables, int num_queries, int m,
                      float* out);
 uint32_t Crc32cScalar(uint32_t crc, const void* data, std::size_t n);
 
+// The tiled AssignNearest loop every level can run: 16-point tiles as the
+// query side of `tile` (one level's L2SqrTile), four centroids per call.
+using L2SqrTileFn = void (*)(const float* const*, int, const float* const*,
+                             std::size_t, float*);
+void AssignNearestTiled(L2SqrTileFn tile, const float* centroids,
+                        int64_t num_centroids, std::size_t n,
+                        const float* points, int64_t count, int64_t stride,
+                        int32_t* assignments, float* distances);
+void AssignNearestScalar(const float* centroids, int64_t num_centroids,
+                         std::size_t n, const float* points, int64_t count,
+                         int64_t stride, int32_t* assignments,
+                         float* distances);
+
 #if defined(RESINFER_HAVE_AVX2)
 float L2SqrAvx2(const float* a, const float* b, std::size_t n);
 float InnerProductAvx2(const float* a, const float* b, std::size_t n);
@@ -199,6 +230,10 @@ void L2SqrTileAvx2(const float* const* queries, int num_queries,
 void PqAdcTileAvx2(const float* const* tables, int num_queries, int m,
                    int ksub, const uint8_t* const* codes, int count,
                    float* out);
+void AssignNearestAvx2(const float* centroids, int64_t num_centroids,
+                       std::size_t n, const float* points, int64_t count,
+                       int64_t stride, int32_t* assignments,
+                       float* distances);
 // SSE4.2 hardware crc32 (cpuid-gated alongside AVX2: every AVX2 host has
 // SSE4.2, and BestSupportedLevel checks the flag explicitly anyway). Shared
 // by the AVX2 and AVX-512 tables.
@@ -238,6 +273,10 @@ void L2SqrTileAvx512(const float* const* queries, int num_queries,
 void PqAdcTileAvx512(const float* const* tables, int num_queries, int m,
                      int ksub, const uint8_t* const* codes, int count,
                      float* out);
+void AssignNearestAvx512(const float* centroids, int64_t num_centroids,
+                         std::size_t n, const float* points, int64_t count,
+                         int64_t stride, int32_t* assignments,
+                         float* distances);
 #endif
 
 }  // namespace internal

@@ -452,6 +452,17 @@ uint32_t Crc32cSse42(uint32_t crc, const void* data, std::size_t n) {
   return ~static_cast<uint32_t>(c);
 }
 
+// L2SqrAvx2 finishes every dimension below 8 in the sequential scalar
+// L2SqrTail, so a points-per-register kernel would have to copy that
+// tail's contraction; the tile loop keeps the lanes bit-identical instead.
+void AssignNearestAvx2(const float* centroids, int64_t num_centroids,
+                       std::size_t n, const float* points, int64_t count,
+                       int64_t stride, int32_t* assignments,
+                       float* distances) {
+  AssignNearestTiled(L2SqrTileAvx2, centroids, num_centroids, n, points,
+                     count, stride, assignments, distances);
+}
+
 }  // namespace resinfer::simd::internal
 
 #endif  // RESINFER_HAVE_AVX2

@@ -27,6 +27,10 @@
 //     Batch4 accumulators live per dimension pass, PqAdcTile reuses each
 //     gather-index vector across sub-groups of EIGHT per-query tables
 //     (AVX2's 16 ymm registers capped this at four).
+//   - The nearest-centroid scan turns the layout around below 17
+//     dimensions: points in lanes, one register per coordinate, and each
+//     lane repeats the single-pair kernel's reduction tree as vertical
+//     adds (see SmallDimL2Sqr).
 #include "simd/kernels.h"
 
 #if defined(RESINFER_HAVE_AVX512)
@@ -44,6 +48,7 @@
 #include <immintrin.h>
 
 #include <cstring>
+#include <limits>
 
 namespace resinfer::simd::internal {
 
@@ -772,6 +777,117 @@ void PqAdcTileAvx512(const float* const* tables, int num_queries, int m,
       }
     }
   }
+}
+
+// --- Nearest-centroid scan -------------------------------------------------
+
+namespace {
+
+// Squared distances from one centroid (D floats at c) to 16 points held
+// coordinate-major in p[0..D), lane l bit-identical to
+// L2SqrAvx512(c, point l, D). Below 17 dimensions that kernel makes one
+// 16-wide step (masked below 16) whose lane j holds v[j] = (c[j] - x[j])^2
+// and whose lanes j >= D hold +0, then reduces it through
+// _mm512_reduce_add_ps: t[j] = v[j+8] + v[j], u[j] = t[j+4] + t[j], and
+// (u[0] + u[2]) + (u[1] + u[3]). This runs the same tree once per point
+// lane, leaving out each addition of a +0 lane: x + 0 is x for every
+// square (and a NaN stays NaN). At D = 4 the tree is (v0+v2) + (v1+v3).
+template <int D>
+inline __m512 SmallDimL2Sqr(const __m512* p, const float* c) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 v[D];
+  for (int j = 0; j < D; ++j) {
+    const __m512 diff = _mm512_sub_ps(_mm512_set1_ps(c[j]), p[j]);
+    // fmadd onto zero, as in L2SqrAvx512: the square is rounded once and
+    // no later add can be contracted into it.
+    v[j] = _mm512_fmadd_ps(diff, diff, zero);
+  }
+  constexpr int kT = D < 8 ? D : 8;
+  __m512 t[kT];
+  for (int j = 0; j < kT; ++j) {
+    t[j] = j + 8 < D ? _mm512_add_ps(v[j + 8], v[j]) : v[j];
+  }
+  constexpr int kU = D < 4 ? D : 4;
+  __m512 u[kU];
+  for (int j = 0; j < kU; ++j) {
+    u[j] = j + 4 < kT ? _mm512_add_ps(t[j + 4], t[j]) : t[j];
+  }
+  const __m512 w0 = kU > 2 ? _mm512_add_ps(u[0], u[2]) : u[0];
+  if constexpr (kU == 1) {
+    return w0;
+  } else {
+    const __m512 w1 = kU > 3 ? _mm512_add_ps(u[1], u[3]) : u[1];
+    return _mm512_add_ps(w0, w1);
+  }
+}
+
+// AssignNearest for n == D <= 16: 16 points per zmm register (one gather
+// per coordinate), one broadcast per centroid coordinate, and a strict-<
+// argmin over the centroids in index order. Lanes past the last point
+// gather nothing and are never stored.
+template <int D>
+void AssignNearestSmallDim(const float* centroids, int64_t num_centroids,
+                           const float* points, int64_t count,
+                           int64_t stride, int32_t* assignments,
+                           float* distances) {
+  const __m512i offsets = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(stride)));
+  for (int64_t p0 = 0; p0 < count; p0 += 16) {
+    const __mmask16 live =
+        count - p0 >= 16
+            ? static_cast<__mmask16>(0xffff)
+            : TailMask(0, static_cast<std::size_t>(count - p0));
+    const float* tile = points + p0 * stride;
+    __m512 p[D];
+    for (int j = 0; j < D; ++j) {
+      p[j] = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live, offsets,
+                                      tile + j, 4);
+    }
+    __m512 best = _mm512_set1_ps(std::numeric_limits<float>::max());
+    __m512i best_index = _mm512_setzero_si512();
+    const float* c = centroids;
+    for (int64_t ci = 0; ci < num_centroids; ++ci, c += D) {
+      const __m512 dist = SmallDimL2Sqr<D>(p, c);
+      // _CMP_LT_OQ: strict and false on NaN, like the scalar `<`.
+      const __mmask16 closer = _mm512_cmp_ps_mask(dist, best, _CMP_LT_OQ);
+      best = _mm512_mask_mov_ps(best, closer, dist);
+      best_index = _mm512_mask_mov_epi32(
+          best_index, closer, _mm512_set1_epi32(static_cast<int>(ci)));
+    }
+    _mm512_mask_storeu_epi32(assignments + p0, live, best_index);
+    if (distances != nullptr) {
+      _mm512_mask_storeu_ps(distances + p0, live, best);
+    }
+  }
+}
+
+}  // namespace
+
+void AssignNearestAvx512(const float* centroids, int64_t num_centroids,
+                         std::size_t n, const float* points, int64_t count,
+                         int64_t stride, int32_t* assignments,
+                         float* distances) {
+  // The gather offsets are 32-bit: lane 15 sits 15 strides in.
+  if (n == 0 || n > 16 || stride > (int64_t{1} << 31) / 16) {
+    AssignNearestTiled(L2SqrTileAvx512, centroids, num_centroids, n, points,
+                       count, stride, assignments, distances);
+    return;
+  }
+  using Kernel = void (*)(const float*, int64_t, const float*, int64_t,
+                          int64_t, int32_t*, float*);
+  static constexpr Kernel kKernels[16] = {
+      AssignNearestSmallDim<1>,  AssignNearestSmallDim<2>,
+      AssignNearestSmallDim<3>,  AssignNearestSmallDim<4>,
+      AssignNearestSmallDim<5>,  AssignNearestSmallDim<6>,
+      AssignNearestSmallDim<7>,  AssignNearestSmallDim<8>,
+      AssignNearestSmallDim<9>,  AssignNearestSmallDim<10>,
+      AssignNearestSmallDim<11>, AssignNearestSmallDim<12>,
+      AssignNearestSmallDim<13>, AssignNearestSmallDim<14>,
+      AssignNearestSmallDim<15>, AssignNearestSmallDim<16>,
+  };
+  kKernels[n - 1](centroids, num_centroids, points, count, stride,
+                  assignments, distances);
 }
 
 }  // namespace resinfer::simd::internal

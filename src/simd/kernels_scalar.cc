@@ -1,5 +1,8 @@
 #include "simd/kernels.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace resinfer::simd::internal {
 
 float L2SqrScalar(const float* a, const float* b, std::size_t n) {
@@ -146,6 +149,60 @@ void PqAdcTileScalar(const float* const* tables, int num_queries, int m,
   for (int g = 0; g < num_queries; ++g) {
     PqAdcBatchScalar(tables[g], m, ksub, codes, count, out + g * count);
   }
+}
+
+void AssignNearestTiled(L2SqrTileFn tile, const float* centroids,
+                        int64_t num_centroids, std::size_t n,
+                        const float* points, int64_t count, int64_t stride,
+                        int32_t* assignments, float* distances) {
+  // Points per tile: each block of four centroid rows is loaded once per
+  // 16 points.
+  constexpr int kPointTile = 16;
+  const float* point_ptrs[kPointTile];
+  const float* rows[kBatchWidth];
+  float scores[kPointTile * kBatchWidth];
+  float best_dist[kPointTile];
+  int32_t best[kPointTile];
+  for (int64_t p0 = 0; p0 < count; p0 += kPointTile) {
+    const int np = static_cast<int>(std::min<int64_t>(kPointTile, count - p0));
+    for (int g = 0; g < np; ++g) {
+      point_ptrs[g] = points + (p0 + g) * stride;
+      best_dist[g] = std::numeric_limits<float>::max();
+      best[g] = 0;
+    }
+    for (int64_t c = 0; c < num_centroids; c += kBatchWidth) {
+      // A short last block repeats its final row; the extra lanes are
+      // ignored.
+      const int live = static_cast<int>(
+          std::min<int64_t>(kBatchWidth, num_centroids - c));
+      for (int r = 0; r < kBatchWidth; ++r) {
+        rows[r] = centroids + (c + std::min(r, live - 1)) *
+                                  static_cast<int64_t>(n);
+      }
+      tile(point_ptrs, np, rows, n, scores);
+      for (int g = 0; g < np; ++g) {
+        const float* lane = scores + g * kBatchWidth;
+        for (int r = 0; r < live; ++r) {
+          if (lane[r] < best_dist[g]) {
+            best_dist[g] = lane[r];
+            best[g] = static_cast<int32_t>(c + r);
+          }
+        }
+      }
+    }
+    std::copy(best, best + np, assignments + p0);
+    if (distances != nullptr) {
+      std::copy(best_dist, best_dist + np, distances + p0);
+    }
+  }
+}
+
+void AssignNearestScalar(const float* centroids, int64_t num_centroids,
+                         std::size_t n, const float* points, int64_t count,
+                         int64_t stride, int32_t* assignments,
+                         float* distances) {
+  AssignNearestTiled(L2SqrTileScalar, centroids, num_centroids, n, points,
+                     count, stride, assignments, distances);
 }
 
 namespace {

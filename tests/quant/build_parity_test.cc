@@ -1,16 +1,17 @@
 // Build-pass parity (ctest label: build-parity).
 //
 // The build passes — k-means++ seeding, Lloyd and final assignment, exact
-// KNN for ground truth and corrector labelling, PQ training and encoding —
-// run tiled and in parallel. Their outputs must stay bit-identical to the
-// one-pair-at-a-time loops they replaced, so a saved index does not change
-// with the thread count or the SIMD level. This suite keeps those loops
+// KNN for ground truth and corrector labelling, PQ training and encoding,
+// OPQ's cross-correlation — run tiled and in parallel. Their outputs must
+// stay bit-identical to the one-pair-at-a-time loops they replaced, so a
+// saved index does not change with the thread count or the SIMD level. This suite keeps those loops
 // as test-local references and asserts exact equality (centroid bytes,
 // assignments, inertia, iterations, KNN ids and distance bits, labelled
-// pairs, codebooks and codes) at every supported SIMD level with 1, 2
-// and 4 threads, on shapes whose point counts are not a multiple of any
-// tile, whose centroid counts are not a multiple of 4, with duplicate
-// points (ties), the empty-cluster re-seed path, and k == n.
+// pairs, codebooks and codes, OPQ rotations) at every supported SIMD
+// level with 1, 2 and 4 threads, on shapes whose point counts are not a
+// multiple of any tile, whose centroid counts are not a multiple of 4,
+// with duplicate points (ties), non-finite points, the empty-cluster
+// re-seed path, and k == n.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -24,7 +25,10 @@
 
 #include "core/training_data.h"
 #include "data/ground_truth.h"
+#include "linalg/orthogonal.h"
+#include "linalg/svd.h"
 #include "quant/kmeans.h"
+#include "quant/opq.h"
 #include "quant/pq.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
@@ -274,6 +278,87 @@ std::vector<uint8_t> RefPqEncode(const quant::PqCodebook& pq, const float* x) {
   return code;
 }
 
+// M = sum_i x_i y_i^T as one serial double-precision loop.
+linalg::Matrix RefCrossCorrelation(const float* x, const linalg::Matrix& y,
+                                   int64_t n, int64_t d) {
+  std::vector<double> acc(static_cast<std::size_t>(d) * d, 0.0);
+  for (int64_t i = 0; i < n; ++i) {
+    const float* xi = x + i * d;
+    const float* yi = y.Row(i);
+    for (int64_t r = 0; r < d; ++r) {
+      double xr = xi[r];
+      double* row = acc.data() + static_cast<std::size_t>(r) * d;
+      for (int64_t c = 0; c < d; ++c) row[c] += xr * yi[c];
+    }
+  }
+  linalg::Matrix m(d, d);
+  for (int64_t r = 0; r < d; ++r)
+    for (int64_t c = 0; c < d; ++c)
+      m.At(r, c) =
+          static_cast<float>(acc[static_cast<std::size_t>(r) * d + c]);
+  return m;
+}
+
+struct RefOpq {
+  linalg::Matrix rotation;
+  std::vector<linalg::Matrix> codebooks;
+};
+
+// OPQ training as it was: subsample once, then alternate serial PQ
+// training, one-at-a-time reconstruction and the serial Procrustes step.
+RefOpq RefOpqTrain(const float* data, int64_t n, int64_t d,
+                   const quant::OpqOptions& options) {
+  std::vector<float> sampled;
+  const float* train = data;
+  int64_t train_n = n;
+  if (n > options.pq.max_train_rows) {
+    Rng rng(options.pq.sample_seed);
+    std::vector<int64_t> pick =
+        rng.SampleWithoutReplacement(n, options.pq.max_train_rows);
+    sampled.resize(pick.size() * static_cast<std::size_t>(d));
+    for (std::size_t i = 0; i < pick.size(); ++i) {
+      const float* src = data + pick[i] * d;
+      std::copy(src, src + d, sampled.data() + i * d);
+    }
+    train = sampled.data();
+    train_n = static_cast<int64_t>(pick.size());
+  }
+  RefOpq model;
+  if (options.random_init) {
+    Rng rng(options.rotation_seed);
+    model.rotation = linalg::RandomOrthonormal(d, rng);
+  } else {
+    model.rotation = linalg::Matrix::Identity(d);
+  }
+  linalg::Matrix rotated(train_n, d);
+  linalg::Matrix reconstructed(train_n, d);
+  quant::PqOptions pq_options = options.pq;
+  pq_options.max_train_rows = train_n;
+  const int64_t dsub = d / options.pq.num_subspaces;
+  for (int iter = 0; iter < std::max(1, options.num_iterations); ++iter) {
+    for (int64_t i = 0; i < train_n; ++i) {
+      linalg::MatVec(model.rotation, train + i * d, rotated.Row(i));
+    }
+    model.codebooks = RefPqCodebooks(rotated.data(), train_n, d, pq_options);
+    if (iter + 1 >= options.num_iterations) break;
+    for (int64_t i = 0; i < train_n; ++i) {
+      for (int s = 0; s < options.pq.num_subspaces; ++s) {
+        const linalg::Matrix& book =
+            model.codebooks[static_cast<std::size_t>(s)];
+        const int32_t c =
+            RefNearestCentroid(book, rotated.Row(i) + s * dsub, nullptr);
+        std::copy(book.Row(c), book.Row(c) + dsub,
+                  reconstructed.Row(i) + s * dsub);
+      }
+    }
+    const linalg::Matrix m =
+        RefCrossCorrelation(train, reconstructed, train_n, d);
+    const linalg::SvdResult svd = linalg::Svd(m);
+    model.rotation = linalg::MatMulBt(svd.v, svd.u);
+  }
+  return model;
+}
+
 // ---------------------------------------------------------------------------
 
 bool SameBytes(const linalg::Matrix& a, const linalg::Matrix& b) {
@@ -385,9 +470,16 @@ TEST(BuildParityTest, KMeansEmptyClusterReseedAndKEqualsN) {
 
 TEST(BuildParityTest, NearestCentroidMatchesSinglePairScan) {
   // Strided points (a PQ sub-space slice) against centroid counts around
-  // the 4-row block, with duplicated centroids so ties must go to the
-  // lower index.
-  for (int64_t d : {4, 7, 128}) {
+  // the 4-row block, at every dimension the small-dim kernel specializes
+  // plus the tiled path beyond it, and point counts around the 8- and
+  // 16-lane tiles. Duplicated centroids make ties that must go to the
+  // lower index; points holding NaN, +-Inf or 1e30 (whose square
+  // overflows) have no distance below FLT_MAX and must get index 0 and
+  // FLT_MAX.
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(), kInf,
+                              -kInf, 1e30f};
+  for (int64_t d : {1, 2, 3, 4, 5, 8, 15, 16, 17, 128}) {
     for (int k : {1, 3, 4, 13, 39}) {
       linalg::Matrix centroids = testing::RandomMatrix(k, d, 60 + k);
       if (k >= 4) {
@@ -395,34 +487,53 @@ TEST(BuildParityTest, NearestCentroidMatchesSinglePairScan) {
                   centroids.Row(k - 1));
       }
       const int64_t stride = d + 3;
-      const int64_t count = 37;
-      linalg::Matrix storage = testing::RandomMatrix(count, stride, 61);
-      // Some points sit exactly on the duplicated centroid.
-      for (int64_t i = 0; i < count; i += 5) {
-        std::copy(centroids.Row(k - 1), centroids.Row(k - 1) + d,
-                  storage.Row(i));
-      }
-      for (simd::SimdLevel level : simd::SupportedLevels()) {
-        simd::ScopedSimdLevel guard(level);
-        const std::string label = std::string(simd::SimdLevelName(level)) +
-                                  " d=" + std::to_string(d) +
-                                  " k=" + std::to_string(k);
-        std::vector<int32_t> got(count);
-        std::vector<float> got_dist(count);
-        quant::AssignNearestCentroids(centroids, storage.data(), count,
-                                      stride, got.data(), got_dist.data());
-        for (int64_t i = 0; i < count; ++i) {
-          float want_dist = 0.0f;
-          const int32_t want =
-              RefNearestCentroid(centroids, storage.Row(i), &want_dist);
-          EXPECT_EQ(got[i], want) << label << " i=" << i;
-          EXPECT_TRUE(SameBits(got_dist[i], want_dist)) << label;
-          float one_dist = 0.0f;
-          EXPECT_EQ(quant::NearestCentroid(centroids, storage.Row(i),
-                                           &one_dist),
-                    want)
-              << label << " i=" << i;
-          EXPECT_TRUE(SameBits(one_dist, want_dist)) << label;
+      for (int64_t count : {1, 7, 15, 16, 17, 37}) {
+        linalg::Matrix storage = testing::RandomMatrix(count, stride, 61);
+        // Some points sit exactly on the duplicated centroid.
+        for (int64_t i = 0; i < count; i += 5) {
+          std::copy(centroids.Row(k - 1), centroids.Row(k - 1) + d,
+                    storage.Row(i));
+        }
+        // The last points each hold one non-finite or huge coordinate.
+        std::vector<int64_t> non_finite_rows;
+        for (int j = 0; j < 4 && count - 1 - j > 0; ++j) {
+          const int64_t row = count - 1 - j;
+          storage.Row(row)[(j * 5) % d] = kNonFinite[j];
+          non_finite_rows.push_back(row);
+        }
+        for (simd::SimdLevel level : simd::SupportedLevels()) {
+          simd::ScopedSimdLevel guard(level);
+          const std::string label =
+              std::string(simd::SimdLevelName(level)) +
+              " d=" + std::to_string(d) + " k=" + std::to_string(k) +
+              " count=" + std::to_string(count);
+          std::vector<int32_t> got(count);
+          std::vector<float> got_dist(count);
+          quant::AssignNearestCentroids(centroids, storage.data(), count,
+                                        stride, got.data(), got_dist.data());
+          std::vector<int32_t> got_no_dist(count, -1);
+          quant::AssignNearestCentroids(centroids, storage.data(), count,
+                                        stride, got_no_dist.data(), nullptr);
+          for (int64_t i = 0; i < count; ++i) {
+            float want_dist = 0.0f;
+            const int32_t want =
+                RefNearestCentroid(centroids, storage.Row(i), &want_dist);
+            EXPECT_EQ(got[i], want) << label << " i=" << i;
+            EXPECT_TRUE(SameBits(got_dist[i], want_dist))
+                << label << " i=" << i;
+            EXPECT_EQ(got_no_dist[i], want) << label << " i=" << i;
+            float one_dist = 0.0f;
+            EXPECT_EQ(quant::NearestCentroid(centroids, storage.Row(i),
+                                             &one_dist),
+                      want)
+                << label << " i=" << i;
+            EXPECT_TRUE(SameBits(one_dist, want_dist)) << label;
+          }
+          for (int64_t row : non_finite_rows) {
+            EXPECT_EQ(got[row], 0) << label << " row " << row;
+            EXPECT_EQ(got_dist[row], std::numeric_limits<float>::max())
+                << label << " row " << row;
+          }
         }
       }
     }
@@ -563,6 +674,54 @@ TEST(BuildParityTest, PqTrainAndEncodeMatchSinglePairLoops) {
               pq.Encode(data.Row(i), one.data());
               EXPECT_EQ(one, ref) << label << shape << " Encode row " << i;
             }
+          }
+        });
+  }
+}
+
+struct OpqCase {
+  int64_t d;
+  int m;
+  int nbits;
+  int64_t n;
+  int64_t max_train_rows;
+  bool random_init;
+};
+
+TEST(BuildParityTest, OpqTrainMatchesSerialReference) {
+  // dsub 1, 2, 4, 8, 16 (the small-dim kernel) and 17 (the tiled path),
+  // 4- and 8-bit codebooks, and one training sample smaller than n. n is
+  // above ParallelFor's 1024-item cutoff so the passes really split.
+  for (const OpqCase& c : {OpqCase{8, 8, 4, 1100, 65536, false},
+                           OpqCase{8, 4, 8, 1100, 65536, true},
+                           OpqCase{16, 4, 4, 1100, 65536, true},
+                           OpqCase{16, 2, 8, 1100, 65536, false},
+                           OpqCase{32, 2, 4, 1100, 65536, false},
+                           OpqCase{34, 2, 8, 1300, 1100, true}}) {
+    linalg::Matrix data = testing::RandomMatrix(c.n, c.d, 70 + c.d);
+    DuplicateRows(&data, 9);
+    quant::OpqOptions options;
+    options.pq.num_subspaces = c.m;
+    options.pq.nbits = c.nbits;
+    options.pq.max_train_rows = c.max_train_rows;
+    options.pq.kmeans.max_iterations = 6;
+    options.num_iterations = 3;
+    options.random_init = c.random_init;
+    const std::string shape = " d=" + std::to_string(c.d) +
+                              " dsub=" + std::to_string(c.d / c.m) +
+                              " nbits=" + std::to_string(c.nbits);
+    ForEachLevelAndThreads(
+        [&] { return RefOpqTrain(data.data(), c.n, c.d, options); },
+        [&](const RefOpq& want, const std::string& label) {
+          const quant::OpqModel got =
+              quant::OpqModel::Train(data.data(), c.n, c.d, options);
+          EXPECT_TRUE(SameBytes(want.rotation, got.rotation()))
+              << label << shape;
+          ASSERT_EQ(got.codebook().num_subspaces(), c.m) << label << shape;
+          for (int s = 0; s < c.m; ++s) {
+            EXPECT_TRUE(SameBytes(want.codebooks[static_cast<std::size_t>(s)],
+                                  got.codebook().centroids(s)))
+                << label << shape << " s=" << s;
           }
         });
   }

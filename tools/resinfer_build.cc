@@ -219,6 +219,15 @@ int main(int argc, char** argv) {
     const double seconds = timer.ElapsedSeconds();
     std::printf("%s artifacts in %.2fs\n", method.c_str(), seconds);
     manifest << method << "_seconds=" << seconds << "\n";
+    if (method == "ddc-opq") {
+      // The OPQ share (train + encode) and the corrector's, apart.
+      const resinfer::core::PreprocessCosts& costs = factory.costs();
+      std::printf("  opq %.2fs, corrector %.2fs\n", costs.opq_seconds,
+                  costs.ddc_opq_train_seconds);
+      manifest << "opq_seconds=" << costs.opq_seconds
+               << "\nddc-opq_corrector_seconds="
+               << costs.ddc_opq_train_seconds << "\n";
+    }
   }
 
   std::printf("done; artifacts in %s\n", out_dir.c_str());
